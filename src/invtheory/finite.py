@@ -5,7 +5,9 @@ invertible matrices acting by linear substitution x_j -> sum_k g[j][k] x_k.
 The group itself is the multiplicative closure of the generators, computed
 lazily and cached.  Both generator-building algorithms are here: the
 King-style Reynolds/normal-form sweep and the fixed-space linear algebra
-sweep; both return minimal generating sets of the invariant ring.
+sweep; both return minimal generating sets of the invariant ring.  Every
+matrix acts through one `_Substitution`; when the generators are monomial
+matrices, Reynolds images and fixed spaces are orbit sums (`_Orbit`).
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from .errors import (
     ModularCaseUnsupported,
     NonZeroCharacteristic,
     NotAPermutation,
+    RingMismatch,
 )
 from .groebner import _IncrementalGroebner
-from .poly import Monomial, Polynomial, PolynomialRing, substitute
+from .poly import Polynomial, PolynomialRing, _from_dict
 from .ratfunc import RationalFunction, UniPoly, rational_function_sum
 
 DEFAULT_CLOSURE_CAP = 50000
@@ -64,6 +67,9 @@ class FiniteGroupAction:
             mats.append(rows)
         self.generators = tuple(mats)
         self._closure: tuple | None = None
+        # Built on first use, like the closure.
+        self._generator_subs: tuple[_Substitution, ...] | None = None
+        self._closure_subs: tuple[_Substitution, ...] | None = None
 
     # -- the group ------------------------------------------------------------
 
@@ -99,53 +105,205 @@ class FiniteGroupAction:
     def order(self) -> int:
         return len(self.group_closure())
 
+    # -- substitutions and monomial orbits ---------------------------------------
+
+    def _generator_substitutions(self) -> tuple["_Substitution", ...]:
+        if self._generator_subs is None:
+            self._generator_subs = tuple(_Substitution(self.ring, g) for g in self.generators)
+        return self._generator_subs
+
+    def _closure_substitutions(self) -> tuple["_Substitution", ...]:
+        if self._closure_subs is None:
+            self._closure_subs = tuple(
+                _Substitution(self.ring, g) for g in self.group_closure()
+            )
+        return self._closure_subs
+
+    def _is_monomial(self) -> bool:
+        """Whether every generator is a permutation matrix times scalars."""
+        return all(s.is_monomial for s in self._generator_substitutions())
+
+    def _monomial_orbit(self, exponents: tuple[int, ...]) -> "_Orbit | None":
+        """The orbit of x^exponents under a monomial group (None for any
+        other group), walked under the generators only, so it needs no
+        closure."""
+        if not self._is_monomial():
+            return None
+        return _Orbit(self._generator_substitutions(), exponents, self.ring.field)
+
     def __repr__(self) -> str:
         return (
             f"FiniteGroupAction({self.ring}, {len(self.generators)} generators)"
         )
 
 
+class _Substitution:
+    """The substitution x_j -> sum_k g[j][k] x_k of one matrix g.
+
+    The image of x_j is held as (k, g[j][k]) pairs over the nonzero entries,
+    with the scalars coerced once.  When every row has one entry (a monomial
+    matrix) each monomial maps to a scalar times a monomial; otherwise the
+    images are expanded, and their powers cached as they are needed.
+    """
+
+    def __init__(self, ring: PolynomialRing, g):
+        if len(g) != ring.n or any(len(row) != ring.n for row in g):
+            raise DimensionMismatch(f"matrix is not {ring.n}x{ring.n}")
+        field = ring.field
+        self.ring = ring
+        images = []
+        for row in g:
+            pairs = ((k, field.coerce(v)) for k, v in enumerate(row))
+            images.append(tuple((k, c) for k, c in pairs if not field.is_zero(c)))
+        self.images = tuple(images)
+        self.is_monomial = all(len(pairs) == 1 for pairs in self.images)
+        self._powers: list[list[Polynomial]] | None = None
+
+    def monomial_image(self, exponents: tuple[int, ...]):
+        """(c, e) with x^exponents(g.x) = c x^e; monomial matrices only."""
+        mul = self.ring.field.mul
+        scalar = self.ring.field.one()
+        out = [0] * len(exponents)
+        for ((k, c),), e in zip(self.images, exponents):
+            if e:
+                out[k] += e
+                for _ in range(e):
+                    scalar = mul(scalar, c)
+        return scalar, tuple(out)
+
+    def _power(self, j: int, e: int) -> Polynomial:
+        if self._powers is None:
+            ring = self.ring
+            unit = [tuple(1 if i == k else 0 for i in range(ring.n)) for k in range(ring.n)]
+            self._powers = [
+                [ring.one(), _from_dict(ring, {unit[k]: c for k, c in pairs})]
+                for pairs in self.images
+            ]
+        powers = self._powers[j]
+        while len(powers) <= e:
+            powers.append(powers[-1] * powers[1])
+        return powers[e]
+
+    def apply(self, f: Polynomial) -> Polynomial:
+        """f(g.x)."""
+        field = self.ring.field
+        acc: dict[tuple[int, ...], object] = {}
+        for exp, coeff in f.terms:
+            if self.is_monomial:
+                scalar, image = self.monomial_image(exp)
+                pieces = ((image, field.mul(coeff, scalar)),)
+            else:
+                term = self.ring.constant(coeff)
+                for j, e in enumerate(exp):
+                    if e:
+                        term = term * self._power(j, e)
+                pieces = term.terms
+            _accumulate(acc, pieces, field)
+        return _from_dict(self.ring, acc)
+
+
+def _accumulate(acc: dict, terms, field, scale=None) -> None:
+    """acc += scale * terms, on exponent -> coefficient dicts."""
+    for exp, coeff in terms:
+        if scale is not None:
+            coeff = field.mul(scale, coeff)
+        acc[exp] = field.add(acc[exp], coeff) if exp in acc else coeff
+
+
+class _Orbit:
+    """The orbit of a monomial m under a monomial group, walked breadth-first
+    under the generators' substitutions.
+
+    ``coefficients`` maps each member m' to the coefficient c(m') that
+    invariance forces on a polynomial supported on the orbit, with
+    c(m) = 1 and c(s.m') = c(m') c_s(m') for each substitution s, where
+    m'(s.x) = c_s(m') s.m'.  When two paths force different coefficients
+    (the stabilizer of m acts on it by a nontrivial character), no nonzero
+    invariant lives on the orbit and ``invariant`` is False.  Otherwise the
+    orbit sum sum c(m') m' spans the invariants supported on it (King 2013,
+    section 5).
+    """
+
+    __slots__ = ("coefficients", "invariant")
+
+    def __init__(self, substitutions, exponents: tuple[int, ...], field):
+        coefficients = {exponents: field.one()}
+        invariant = True
+        frontier = [exponents]
+        while frontier:
+            next_frontier = []
+            for m in frontier:
+                cm = coefficients[m]
+                for s in substitutions:
+                    scalar, image = s.monomial_image(m)
+                    c = field.mul(cm, scalar)
+                    known = coefficients.get(image)
+                    if known is None:
+                        coefficients[image] = c
+                        next_frontier.append(image)
+                    elif known != c:
+                        invariant = False
+            frontier = next_frontier
+        self.coefficients = coefficients
+        self.invariant = invariant
+
+
 def act_on(g, f: Polynomial) -> Polynomial:
     """f(g.x): substitute x_j -> sum_k g[j][k] x_k."""
-    ring = f.ring
-    field = ring.field
-    if len(g) != ring.n or any(len(row) != ring.n for row in g):
-        raise DimensionMismatch(f"matrix is not {ring.n}x{ring.n}")
-    variables = ring.variables()
-    images = []
-    for j in range(ring.n):
-        image = ring.zero()
-        for k in range(ring.n):
-            c = field.coerce(g[j][k])
-            if not field.is_zero(c):
-                image = image + variables[k] * c
-        images.append(image)
-    return substitute(f, images)
+    return _Substitution(f.ring, g).apply(f)
 
 
 def reynolds(action: FiniteGroupAction, f: Polynomial) -> Polynomial:
-    """Group average (1/|G|) sum_g f(g.x); the projection onto invariants."""
+    """Group average (1/|G|) sum_g f(g.x); the projection onto invariants.
+
+    For a monomial group the average of a term a m is
+    a / (c(m) |orbit|) sum c(m') m' over its orbit, or zero when the orbit
+    carries no invariant (see `_Orbit`).
+    """
     closure = action.group_closure()
-    field = action.ring.field
+    ring = action.ring
+    field = ring.field
     p = field.characteristic()
     if p and len(closure) % p == 0:
         raise ModularCaseUnsupported(
             f"|G| = {len(closure)} is divisible by the characteristic {p}"
         )
-    total = action.ring.zero()
-    for g in closure:
-        total = total + act_on(g, f)
-    return total * field.from_pair(1, len(closure))
+    if f.ring != ring:
+        raise RingMismatch(f"{f.ring} vs {ring}")
+    if not action._is_monomial():
+        return _dense_reynolds(action, f)
+    acc: dict[tuple[int, ...], object] = {}
+    orbits: dict[tuple[int, ...], _Orbit] = {}
+    for exp, coeff in f.terms:
+        orbit = orbits.get(exp)
+        if orbit is None:
+            orbit = action._monomial_orbit(exp)
+            orbits.update(dict.fromkeys(orbit.coefficients, orbit))
+        if orbit.invariant:
+            size = field.from_pair(len(orbit.coefficients), 1)
+            scale = field.div(coeff, field.mul(orbit.coefficients[exp], size))
+            _accumulate(acc, orbit.coefficients.items(), field, scale)
+    return _from_dict(ring, acc)
+
+
+def _dense_reynolds(action: FiniteGroupAction, f: Polynomial) -> Polynomial:
+    """(1/|G|) sum_g f(g.x) summed over the closure: the path for groups that
+    are not monomial, and the reference the orbit path is tested against."""
+    field = action.ring.field
+    acc: dict[tuple[int, ...], object] = {}
+    for sub in action._closure_substitutions():
+        _accumulate(acc, sub.apply(f).terms, field)
+    return _from_dict(action.ring, acc) * field.from_pair(1, action.order())
 
 
 def molien_series(action: FiniteGroupAction) -> RationalFunction:
-    """Molien series (1/|G|) sum_g 1/det(1 - T g), reduced."""
+    """Molien series (1/|G|) sum_g 1/det(1 - T g), reduced; each distinct
+    determinant is summed once, weighted by how many elements share it."""
     if not action.ring.field.is_rationals:
         raise NonZeroCharacteristic("Molien series needs characteristic 0")
     closure = action.group_closure()
     n = action.ring.n
-    one = UniPoly.one()
-    terms = []
+    counts: dict[UniPoly, int] = {}
     for g in closure:
         mat = [
             [
@@ -154,8 +312,11 @@ def molien_series(action: FiniteGroupAction) -> RationalFunction:
             ]
             for i in range(n)
         ]
-        terms.append((one, _unipoly_det(mat)))
-    total = rational_function_sum(terms)
+        det = _unipoly_det(mat)
+        counts[det] = counts.get(det, 0) + 1
+    total = rational_function_sum(
+        (UniPoly.constant(count), det) for det, count in counts.items()
+    )
     return total * Fraction(1, len(closure))
 
 
@@ -185,19 +346,41 @@ def _unipoly_det(mat) -> UniPoly:
 
 
 def invariant_space_basis(action: FiniteGroupAction, degree: int) -> list[Polynomial]:
-    """Basis of the degree-d invariants, as the joint fixed space of the
-    generator matrices on the degree-d monomial basis; vectors come back in
-    reduced echelon form over that basis, so the list is canonical."""
+    """Basis of the degree-d invariants in reduced echelon form over the
+    degree-d monomial basis, so the list is canonical.
+
+    For a monomial group these are the orbit sums, each walked from its
+    lead monomial (coefficient 1) in monomial-basis order: their supports
+    are disjoint, which makes them the reduced echelon form already.
+    """
+    ring = action.ring
+    if not action._is_monomial():
+        return _dense_invariant_space_basis(action, degree)
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for m in ring.monomial_basis(degree):
+        if m.exponents in seen:
+            continue
+        orbit = action._monomial_orbit(m.exponents)
+        seen.update(orbit.coefficients)
+        if orbit.invariant:
+            out.append(_from_dict(ring, orbit.coefficients))
+    return out
+
+
+def _dense_invariant_space_basis(action: FiniteGroupAction, degree: int) -> list[Polynomial]:
+    """The joint fixed space of the generators on the degree-d monomial
+    basis, by row reduction: the path for groups that are not monomial, and
+    the reference the orbit path is tested against."""
     ring = action.ring
     field = ring.field
     basis = ring.monomial_basis(degree)
     if not basis:
         return []
-    index = {m.exponents: i for i, m in enumerate(basis)}
     size = len(basis)
     rows = []
-    for g in action.generators:
-        columns = _degree_action_columns(ring, g, basis)
+    for sub in action._generator_substitutions():
+        columns = [dict(sub.apply(ring.monomial(m)).terms) for m in basis]
         for j in range(size):
             row = [field.zero()] * size
             any_nonzero = False
@@ -218,38 +401,6 @@ def invariant_space_basis(action: FiniteGroupAction, degree: int) -> list[Polyno
             )
         )
     return out
-
-
-def _degree_action_columns(ring: PolynomialRing, g, basis: list[Monomial]):
-    """For each basis monomial m, the term dict of m(g.x)."""
-    field = ring.field
-    variables = ring.variables()
-    images = []
-    for j in range(ring.n):
-        image = ring.zero()
-        for k in range(ring.n):
-            c = field.coerce(g[j][k])
-            if not field.is_zero(c):
-                image = image + variables[k] * c
-        images.append(image)
-    max_exp = [0] * ring.n
-    for m in basis:
-        for i, e in enumerate(m.exponents):
-            max_exp[i] = max(max_exp[i], e)
-    powers = []
-    for i in range(ring.n):
-        pows = [ring.one()]
-        for _ in range(max_exp[i]):
-            pows.append(pows[-1] * images[i])
-        powers.append(pows)
-    columns = []
-    for m in basis:
-        product = ring.one()
-        for i, e in enumerate(m.exponents):
-            if e:
-                product = product * powers[i][e]
-        columns.append(dict(product.terms))
-    return columns
 
 
 def _degree_bound(action: FiniteGroupAction, max_degree: int | None) -> int:
@@ -279,7 +430,8 @@ def invariants_king(
     basis of the ideal of found generators is maintained; a monomial whose
     Reynolds image has nonzero normal form contributes a new generator.
     ``skip_reducible`` skips monomials already in the lead ideal, which does
-    not change the output.
+    not change the output.  For a monomial group each orbit is tried once
+    per degree: the Reynolds images of its members are proportional.
     """
     ring = action.ring
     bound = _degree_bound(action, max_degree)
@@ -298,7 +450,13 @@ def invariants_king(
             if skip_reducible
             else basis
         )
+        tried: set[tuple[int, ...]] = set()
         for m in candidates:
+            if m.exponents in tried:
+                continue
+            orbit = action._monomial_orbit(m.exponents)
+            if orbit is not None:
+                tried.update(orbit.coefficients)
             image = reynolds(action, ring.monomial(m))
             if image.is_zero():
                 continue

@@ -182,16 +182,10 @@ class Polynomial:
         degs = {sum(exp) for exp, _ in self.terms}
         return len(degs) == 1
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
-
     def lead_exponents(self) -> tuple[int, ...]:
         if not self.terms:
             raise ValueError("zero polynomial has no lead term")
         return self.terms[0][0]
-
-    def lead_monomial(self) -> Monomial:
-        return Monomial(self.lead_exponents())
 
     def lead_coefficient(self):
         if not self.terms:
@@ -206,9 +200,6 @@ class Polynomial:
             if exp == monomial:
                 return coeff
         return self.ring.field.zero()
-
-    def constant_coefficient(self):
-        return self.coefficient((0,) * self.ring.n)
 
     def monomials(self) -> list[Monomial]:
         return [Monomial(exp) for exp, _ in self.terms]
