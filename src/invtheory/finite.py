@@ -25,7 +25,7 @@ from .errors import (
     RingMismatch,
 )
 from .groebner import _IncrementalGroebner
-from .poly import Polynomial, PolynomialRing, _from_dict
+from .poly import Polynomial, PolynomialRing, _from_dict, substitute
 from .ratfunc import RationalFunction, UniPoly, rational_function_sum
 
 DEFAULT_CLOSURE_CAP = 50000
@@ -69,7 +69,9 @@ class FiniteGroupAction:
         self._closure: tuple | None = None
         # Built on first use, like the closure.
         self._generator_subs: tuple[_Substitution, ...] | None = None
-        self._closure_subs: tuple[_Substitution, ...] | None = None
+        # The last orbit walked, so King's sweep and the Reynolds image of
+        # its candidate share one walk.
+        self._last_orbit: tuple[tuple[int, ...], _Orbit] | None = None
 
     # -- the group ------------------------------------------------------------
 
@@ -112,13 +114,6 @@ class FiniteGroupAction:
             self._generator_subs = tuple(_Substitution(self.ring, g) for g in self.generators)
         return self._generator_subs
 
-    def _closure_substitutions(self) -> tuple["_Substitution", ...]:
-        if self._closure_subs is None:
-            self._closure_subs = tuple(
-                _Substitution(self.ring, g) for g in self.group_closure()
-            )
-        return self._closure_subs
-
     def _is_monomial(self) -> bool:
         """Whether every generator is a permutation matrix times scalars."""
         return all(s.is_monomial for s in self._generator_substitutions())
@@ -129,7 +124,10 @@ class FiniteGroupAction:
         closure."""
         if not self._is_monomial():
             return None
-        return _Orbit(self._generator_substitutions(), exponents, self.ring.field)
+        if self._last_orbit is None or self._last_orbit[0] != exponents:
+            orbit = _Orbit(self._generator_substitutions(), exponents, self.ring.field)
+            self._last_orbit = (exponents, orbit)
+        return self._last_orbit[1]
 
     def __repr__(self) -> str:
         return (
@@ -143,7 +141,7 @@ class _Substitution:
     The image of x_j is held as (k, g[j][k]) pairs over the nonzero entries,
     with the scalars coerced once.  When every row has one entry (a monomial
     matrix) each monomial maps to a scalar times a monomial; otherwise the
-    images are expanded, and their powers cached as they are needed.
+    images are expanded into polynomials for `substitute`.
     """
 
     def __init__(self, ring: PolynomialRing, g):
@@ -157,7 +155,12 @@ class _Substitution:
             images.append(tuple((k, c) for k, c in pairs if not field.is_zero(c)))
         self.images = tuple(images)
         self.is_monomial = all(len(pairs) == 1 for pairs in self.images)
-        self._powers: list[list[Polynomial]] | None = None
+        self.polynomials = None
+        if not self.is_monomial:
+            unit = [tuple(1 if i == k else 0 for i in range(ring.n)) for k in range(ring.n)]
+            self.polynomials = [
+                _from_dict(ring, {unit[k]: c for k, c in pairs}) for pairs in self.images
+            ]
 
     def monomial_image(self, exponents: tuple[int, ...]):
         """(c, e) with x^exponents(g.x) = c x^e; monomial matrices only."""
@@ -171,34 +174,15 @@ class _Substitution:
                     scalar = mul(scalar, c)
         return scalar, tuple(out)
 
-    def _power(self, j: int, e: int) -> Polynomial:
-        if self._powers is None:
-            ring = self.ring
-            unit = [tuple(1 if i == k else 0 for i in range(ring.n)) for k in range(ring.n)]
-            self._powers = [
-                [ring.one(), _from_dict(ring, {unit[k]: c for k, c in pairs})]
-                for pairs in self.images
-            ]
-        powers = self._powers[j]
-        while len(powers) <= e:
-            powers.append(powers[-1] * powers[1])
-        return powers[e]
-
     def apply(self, f: Polynomial) -> Polynomial:
         """f(g.x)."""
+        if not self.is_monomial:
+            return substitute(f, self.polynomials)
         field = self.ring.field
         acc: dict[tuple[int, ...], object] = {}
         for exp, coeff in f.terms:
-            if self.is_monomial:
-                scalar, image = self.monomial_image(exp)
-                pieces = ((image, field.mul(coeff, scalar)),)
-            else:
-                term = self.ring.constant(coeff)
-                for j, e in enumerate(exp):
-                    if e:
-                        term = term * self._power(j, e)
-                pieces = term.terms
-            _accumulate(acc, pieces, field)
+            scalar, image = self.monomial_image(exp)
+            _accumulate(acc, ((image, field.mul(coeff, scalar)),), field)
         return _from_dict(self.ring, acc)
 
 
@@ -291,8 +275,8 @@ def _dense_reynolds(action: FiniteGroupAction, f: Polynomial) -> Polynomial:
     are not monomial, and the reference the orbit path is tested against."""
     field = action.ring.field
     acc: dict[tuple[int, ...], object] = {}
-    for sub in action._closure_substitutions():
-        _accumulate(acc, sub.apply(f).terms, field)
+    for g in action.group_closure():
+        _accumulate(acc, _Substitution(action.ring, g).apply(f).terms, field)
     return _from_dict(action.ring, acc) * field.from_pair(1, action.order())
 
 

@@ -180,6 +180,24 @@ def test_non_monomial_group_uses_the_dense_path():
     assert [f.degree() for f in king] == [f.degree() for f in lin] == [2, 3, 3]
 
 
+def test_s4_in_root_coordinates_uses_the_dense_path():
+    # the reflection representation of S4 on the simple roots of A3: no
+    # generator is a monomial matrix, so Reynolds sums over the closure
+    ring = polynomial_ring(QQ, ("x", "y", "z"))
+    action = FiniteGroupAction(ring, [
+        [[-1, 0, 0], [1, 1, 0], [0, 0, 1]],
+        [[1, 1, 0], [0, -1, 0], [0, 1, 1]],
+        [[1, 0, 0], [0, 1, 1], [0, 0, -1]],
+    ])
+    assert not action._is_monomial()
+    assert action.order() == 24
+    king = invariants_king(action)
+    lin = invariants_linear_algebra(action)
+    assert [f.degree() for f in king] == [f.degree() for f in lin] == [2, 3, 4]
+    assert_invariant(action, king)
+    assert_invariant(action, lin)
+
+
 def signed_permutations_b4():
     ring = polynomial_ring(QQ, [f"x{i + 1}" for i in range(4)])
     sign = [[-1 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
