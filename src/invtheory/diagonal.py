@@ -53,19 +53,25 @@ class DiagonalAction:
         )
 
 
-def is_invariant_exponent(action: DiagonalAction, exponents) -> bool:
+def _row_moduli(action: DiagonalAction, literal_q: int | None = None) -> list[int]:
+    """One modulus per weight row.  Torus rows get 0 (the weight must vanish)
+    or, literally over F_q, q-1; cyclic rows keep their orders."""
+    torus = 0 if literal_q is None else literal_q - 1
+    return [torus] * action.torus_rank + list(action.cyclic_orders)
+
+
+def is_invariant_exponent(action: DiagonalAction, exponents, literal_q: int | None = None) -> bool:
     """Whether x^exponents is invariant: torus weights zero, cyclic weights
-    zero mod their orders."""
+    zero mod their orders.  With ``literal_q``, torus weights need only
+    vanish mod q-1 (literal invariance over F_q)."""
     if isinstance(exponents, Monomial):
         exponents = exponents.exponents
     exponents = tuple(exponents)
     if len(exponents) != action.ring.n:
         raise DimensionMismatch("exponent vector has wrong length")
-    for row in action.torus_rows():
-        if sum(w * a for w, a in zip(row, exponents)) != 0:
-            return False
-    for row, d in zip(action.cyclic_rows(), action.cyclic_orders):
-        if sum(w * a for w, a in zip(row, exponents)) % d != 0:
+    for row, d in zip(action.weights, _row_moduli(action, literal_q)):
+        weight = sum(w * a for w, a in zip(row, exponents))
+        if (weight % d if d else weight) != 0:
             return False
     return True
 
@@ -301,7 +307,7 @@ def diagonal_invariants_literal(action: DiagonalAction, q: int) -> list[Monomial
             raise RootOfUnityUnavailable(
                 f"F_{q} has no root of unity of order {d} (d must divide q-1)"
             )
-    moduli = [q - 1] * action.torus_rank + list(action.cyclic_orders)
+    moduli = _row_moduli(action, q)
     if not moduli:
         return _monomial_set(
             [tuple(1 if j == i else 0 for j in range(action.ring.n)) for i in range(action.ring.n)]

@@ -3,7 +3,9 @@ elimination ideals.
 
 Pair selection follows the normal strategy (smallest lcm degree, ties broken
 by term order then input index), with Buchberger's coprime-lead and chain
-criteria.  Over Q the internal arithmetic is integer pseudo-reduction with
+criteria.  Each lead carries a support bitmask, so a pair with coprime leads
+is dropped when it is created and most divisibility tests are a mask test.
+Over Q the internal arithmetic is integer pseudo-reduction with
 content stripping; results are converted back to monic polynomials at the
 end, so the published bases are the unique reduced ones.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,6 +136,15 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def _support(exp: tuple[int, ...]) -> int:
+    """Bitmask of the variables that occur in a monomial."""
+    mask = 0
+    for v, a in enumerate(exp):
+        if a:
+            mask |= 1 << v
+    return mask
+
+
 class _IncrementalGroebner:
     """Buchberger engine that supports adding generators and raising the
     processed-degree watermark, as King-style algorithms need.
@@ -148,9 +160,9 @@ class _IncrementalGroebner:
         self._key_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.elements: list[dict] = []
         self.leads: list[tuple[tuple[int, ...], int]] = []  # (exp, coeff)
-        self.heap: list = []   # (lcm degree, key(lcm), i, j)
+        self.support: list[int] = []  # bit v set when the lead's exponent v > 0
+        self.heap: list = []   # (lcm degree, key(lcm), i, j, lcm)
         self.pending: set[tuple[int, int]] = set()
-        self.processed_to: int | None = 0  # None means fully processed
 
     # -- keys --------------------------------------------------------------
 
@@ -197,7 +209,6 @@ class _IncrementalGroebner:
         return work
 
     def to_polynomial(self, work: dict) -> Polynomial:
-        field = self.ring.field
         if self.p is None:
             terms = {e: Fraction(v) for e, v in work.items()}
         else:
@@ -208,13 +219,9 @@ class _IncrementalGroebner:
     # -- reduction -----------------------------------------------------------
 
     def _find_divisor(self, exp: tuple[int, ...]):
-        for idx, (lead, coeff) in enumerate(self.leads):
-            ok = True
-            for a, b in zip(exp, lead):
-                if a < b:
-                    ok = False
-                    break
-            if ok:
+        outside = ~_support(exp)
+        for idx, mask in enumerate(self.support):
+            if not mask & outside and all(map(operator.le, self.leads[idx][0], exp)):
                 return idx
         return None
 
@@ -292,9 +299,12 @@ class _IncrementalGroebner:
 
     def _push_pairs(self, new_index: int) -> None:
         lead_new = self.leads[new_index][0]
+        mask_new = self.support[new_index]
         for i in range(new_index):
+            if not self.support[i] & mask_new:
+                continue  # coprime leads: the S-polynomial reduces to zero
             lead_i = self.leads[i][0]
-            lcm = tuple(max(a, b) for a, b in zip(lead_i, lead_new))
+            lcm = tuple(map(max, lead_i, lead_new))
             pair = (i, new_index)
             self.pending.add(pair)
             heapq.heappush(
@@ -306,6 +316,7 @@ class _IncrementalGroebner:
         lead = max(work, key=self._key)
         self.elements.append(work)
         self.leads.append((lead, work[lead]))
+        self.support.append(_support(lead))
         self._push_pairs(len(self.elements) - 1)
 
     def add_generator(self, f: Polynomial) -> None:
@@ -350,26 +361,21 @@ class _IncrementalGroebner:
             if pair not in self.pending:
                 continue
             self.pending.discard(pair)
-            lead_i = self.leads[i][0]
-            lead_j = self.leads[j][0]
-            if all(a + b == c for a, b, c in zip(lead_i, lead_j, lcm)):
-                continue  # coprime leads
             if self._chain_skip(i, j, lcm):
                 continue
             reduced = self.reduce(self._spoly(i, j, lcm))
             if reduced:
                 self._append(reduced)
-        if bound is None:
-            self.processed_to = None
-        elif self.processed_to is not None:
-            self.processed_to = max(self.processed_to, bound)
 
     def _chain_skip(self, i: int, j: int, lcm: tuple[int, ...]) -> bool:
-        for k in range(len(self.elements)):
-            if k == i or k == j:
+        """Buchberger's chain criterion: some other lead divides the lcm and
+        both of its pairs with i and j are already treated.  Coprime pairs,
+        never queued, count as treated."""
+        outside = ~(self.support[i] | self.support[j])
+        for k, mask in enumerate(self.support):
+            if mask & outside or k == i or k == j:
                 continue
-            lead_k = self.leads[k][0]
-            if all(a <= b for a, b in zip(lead_k, lcm)):
+            if all(map(operator.le, self.leads[k][0], lcm)):
                 pair_ik = (min(i, k), max(i, k))
                 pair_jk = (min(j, k), max(j, k))
                 if pair_ik not in self.pending and pair_jk not in self.pending:

@@ -154,27 +154,16 @@ def hilbert_series_rewrite(inv: RingOfInvariants, degrees) -> UniPoly:
     return numerator.exact_div(series.den)
 
 
-def _literal_invariant(action: DiagonalAction, q: int, exponents) -> bool:
-    moduli = [q - 1] * action.torus_rank + list(action.cyclic_orders)
-    for row, d in zip(action.weights, moduli):
-        if sum(w * a for w, a in zip(row, exponents)) % d != 0:
-            return False
-    return True
-
-
 def _expected_dimension(inv: RingOfInvariants, degree: int) -> int:
     action = inv.action
     if isinstance(action, FiniteGroupAction):
         return len(invariant_space_basis(action, degree))
     if isinstance(action, DiagonalAction):
-        monos = inv.ring.monomial_basis(degree)
-        if inv.method == DIAGONAL_LITERAL:
-            q = inv.literal_q
-            return sum(
-                1 for m in monos if _literal_invariant(action, q, m.exponents)
-            )
+        q = inv.literal_q if inv.method == DIAGONAL_LITERAL else None
         return sum(
-            1 for m in monos if is_invariant_exponent(action, m.exponents)
+            1
+            for m in inv.ring.monomial_basis(degree)
+            if is_invariant_exponent(action, m.exponents, q)
         )
     return len(reductive_invariant_basis(action, degree))
 

@@ -1,6 +1,7 @@
 """Tests for Buchberger's algorithm, normal forms, and elimination ideals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from invtheory import (
     format_polynomial,
     normal_form,
     polynomial_ring,
+    prime_field,
     substitute,
 )
 
@@ -169,3 +171,189 @@ def test_elimination_dimension_counts_match_parametrization():
                 if c:
                     f = f + ring_yz.monomial(m, c)
             assert normal_form(f, gb).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# criteria: differential tests against a criterion-free Buchberger
+# ---------------------------------------------------------------------------
+
+
+def reference_remainder(f, divisors):
+    """Remainder of f by plain division, lead term first."""
+    ring = f.ring
+    field = ring.field
+    remainder = ring.zero()
+    while not f.is_zero():
+        lead, c = f.lead_exponents(), f.lead_coefficient()
+        for g in divisors:
+            shift = [a - b for a, b in zip(lead, g.lead_exponents())]
+            if min(shift) >= 0:
+                f = f - ring.monomial(shift, field.div(c, g.lead_coefficient())) * g
+                break
+        else:
+            term = ring.monomial(lead, c)
+            remainder, f = remainder + term, f - term
+    return remainder
+
+
+def reference_buchberger(polys):
+    """Reduced Groebner basis from Buchberger's algorithm with no criteria:
+    every S-polynomial of every pair is reduced."""
+    ring = polys[0].ring
+    basis = [f.monic() for f in polys if not f.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        f, g = basis[i], basis[j]
+        lcm = tuple(map(max, f.lead_exponents(), g.lead_exponents()))
+        s = (ring.monomial([a - b for a, b in zip(lcm, f.lead_exponents())]) * f
+             - ring.monomial([a - b for a, b in zip(lcm, g.lead_exponents())]) * g)
+        r = reference_remainder(s, basis)
+        if not r.is_zero():
+            basis.append(r.monic())
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal = []
+    for f in sorted(basis, key=lambda f: ring.order.key(f.lead_exponents())):
+        if not any(all(a <= b for a, b in zip(g.lead_exponents(), f.lead_exponents()))
+                   for g in minimal):
+            minimal.append(f)
+    return [reference_remainder(f, [g for g in minimal if g is not f]).monic()
+            for f in minimal]
+
+
+CRITERIA_ORDERS = [TermOrder.grevlex(), TermOrder.lex(), TermOrder.elimination(1)]
+
+
+def random_ideal(ring, rng):
+    """Two or three random polynomials; every other draw is homogeneous,
+    which keeps 1 out of the ideal."""
+    count = rng.randrange(2, 4)
+    if rng.random() < 0.5:
+        polys = [random_polynomial(ring, rng, max_terms=3, max_degree=3) for _ in range(count)]
+    else:
+        polys = []
+        for _ in range(count):
+            monos = ring.monomial_basis(rng.randrange(1, 4))
+            polys.append(ring.from_terms(
+                {m.exponents: rng.randrange(-4, 5) or 1
+                 for m in rng.sample(monos, min(3, len(monos)))}))
+    return [f for f in polys if not f.is_zero()]
+
+
+@pytest.mark.parametrize("p", [None, 7, 101])
+@pytest.mark.parametrize("order", CRITERIA_ORDERS, ids=str)
+def test_buchberger_matches_criterion_free_reference(order, p):
+    field = QQ if p is None else prime_field(p)
+    rng = random.Random(f"criteria/{order}/{p}")
+    ring = polynomial_ring(field, ("x", "y", "z"), order=order)
+    for _ in range(12):
+        polys = random_ideal(ring, rng)
+        assert strings(buchberger(polys).elements) == strings(reference_buchberger(polys))
+
+
+def test_chain_criterion_waits_for_untreated_pairs():
+    # The leads x*y, x*z, y*z share every pairwise lcm x*y*z, so each lead
+    # divides the lcm of the other two pairs.  The chain criterion may drop a
+    # pair only once both of its pairs with the third lead are treated;
+    # dropping all three pairs leaves the input, which is not a basis.
+    ring = polynomial_ring(QQ, ("x", "y", "z"))
+    polys = [ring.parse("x*y+z^2"), ring.parse("x*z+z^2"), ring.parse("y*z+z^2")]
+    expected = reference_buchberger(polys)
+    assert len(expected) > 3
+    assert strings(buchberger(polys).elements) == strings(expected)
+
+
+def test_coprime_pairs_are_never_queued():
+    from invtheory.groebner import _IncrementalGroebner
+
+    ring = polynomial_ring(QQ, ("x", "y", "z", "w"))
+    engine = _IncrementalGroebner(ring)
+    for text in ("x^2-y*w", "y*z-w^2", "z^2-w^2"):
+        engine.add_generator(ring.parse(text))
+    assert engine.support == [0b0001, 0b0110, 0b0100]
+    assert engine.pending == {(1, 2)}
+    assert [entry[2:4] for entry in engine.heap] == [(1, 2)]
+
+
+def test_engine_normal_forms_have_no_divisible_term():
+    from invtheory.groebner import _IncrementalGroebner
+
+    rng = random.Random(5)
+    for order in CRITERIA_ORDERS:
+        ring = polynomial_ring(QQ, ("x", "y", "z"), order=order)
+        engine = _IncrementalGroebner(ring)
+        for _ in range(3):
+            engine.add_generator(random_polynomial(ring, rng))
+        engine.process_to(None)
+        leads = [lead for lead, _ in engine.leads]
+        for _ in range(10):
+            remainder = engine.reduce(engine._to_internal(random_polynomial(ring, rng)))
+            for exp in remainder:
+                assert not any(all(a <= b for a, b in zip(lead, exp)) for lead in leads)
+
+
+# ---------------------------------------------------------------------------
+# cross-check against sympy (optional test dependency)
+# ---------------------------------------------------------------------------
+
+
+def sympy_groebner(polys, ring, order):
+    """sympy's reduced Groebner basis of polys, as monic polynomials of ring."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(ring.names)
+    p = ring.field.p
+    exprs = []
+    for f in polys:
+        expr = sympy.Integer(0)
+        for exp, c in f.terms:
+            term = sympy.Rational(c.numerator, c.denominator) if p is None else sympy.Integer(c)
+            for s, e in zip(symbols, exp):
+                term = term * s**e
+            expr += term
+        exprs.append(expr)
+    if not exprs:
+        return []
+    options = {"domain": "QQ"} if p is None else {"modulus": p}
+    basis = sympy.groebner(exprs, *symbols, order=order, **options)
+    out = []
+    for g in basis.exprs:
+        terms = sympy.Poly(g, *symbols, **options).terms()
+        if p is None:
+            terms = [(e, Fraction(int(c.p), int(c.q))) for e, c in terms]
+        else:
+            terms = [(e, int(c) % p) for e, c in terms]
+        out.append(ring.from_terms(terms).monic())
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_buchberger_matches_sympy(order, p):
+    pytest.importorskip("sympy")
+    field = QQ if p is None else prime_field(p)
+    ring = polynomial_ring(field, ("x", "y", "z"), order=getattr(TermOrder, order)())
+    rng = random.Random(f"sympy/{order}/{p}")
+    for _ in range(8):
+        polys = random_ideal(ring, rng)
+        expected = sympy_groebner(polys, ring, order)
+        assert strings(buchberger(polys).elements) == strings(expected)
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_elimination_ideal_matches_sympy(p):
+    pytest.importorskip("sympy")
+    field = QQ if p is None else prime_field(p)
+    ring = polynomial_ring(field, ("x", "y", "z"), order=TermOrder.lex())
+    tail = polynomial_ring(field, ("y", "z"))
+    rng = random.Random(f"sympy/elimination/{p}")
+    for _ in range(8):
+        polys = [random_polynomial(ring, rng, max_terms=3, max_degree=3) for _ in range(2)]
+        polys = [f for f in polys if not f.is_zero()]
+        if not polys:
+            continue
+        lex_basis = sympy_groebner(polys, ring, "lex")
+        free = [tail.from_terms({e[1:]: c for e, c in g.terms})
+                for g in lex_basis if all(e[0] == 0 for e, _ in g.terms)]
+        expected = sympy_groebner(free, tail, "grevlex")
+        got = elimination_ideal(polys, ["x"])
+        assert strings(f.monic() for f in got) == strings(expected)

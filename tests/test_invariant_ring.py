@@ -163,3 +163,16 @@ def test_container_iteration_and_length():
     inv = invariant_ring(A4)
     assert len(inv) == 5
     assert list(inv) == list(inv.generators)
+
+
+def test_z2_sign_action_presentation_is_fifty_quadrics():
+    # Z2 acting by -1 on five variables: the 15 quadratic monomials generate,
+    # and their relations are the 50 quadrics of the second Veronese of P^4.
+    ring = polynomial_ring(QQ, ("a", "b", "c", "d", "e"))
+    inv = invariant_ring(DiagonalAction(ring, 0, [2], [[1, 1, 1, 1, 1]]))
+    assert len(inv.generators) == 15
+    relations = defining_ideal(inv)
+    assert len(relations) == 50
+    for r in relations:
+        assert r.is_homogeneous() and r.degree() == 2
+        assert substitute(r, list(inv.generators)).is_zero()
