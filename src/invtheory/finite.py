@@ -13,6 +13,7 @@ matrices, Reynolds images and fixed spaces are orbit sums (`_Orbit`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     NotAPermutation,
     RingMismatch,
 )
-from .groebner import _IncrementalGroebner
+from .groebner import degree_sweep
 from .poly import Polynomial, PolynomialRing, _from_dict, substitute
 from .ratfunc import RationalFunction, UniPoly, rational_function_sum
 
@@ -395,12 +396,45 @@ def _degree_bound(action: FiniteGroupAction, max_degree: int | None) -> int:
     return action.order()
 
 
-def _sorted_generators(found: list[Polynomial]) -> list[Polynomial]:
+def _sweep(action: FiniteGroupAction, bound: int, candidates) -> list[Polynomial]:
+    """Degrees 1..bound of `degree_sweep`, stopping once every monomial of
+    the next degree (at most the bound) lies in the lead ideal;
+    ``candidates(engine, d, monomials)`` also gets the degree-d monomials.
+    Generators come out monic, by degree then descending lead."""
+    ring = action.ring
+    monomials = lru_cache(maxsize=2)(ring.monomial_basis)
+
+    def covered(engine, d: int) -> bool:
+        if d == bound:
+            return False  # the sweep ends here; checking d + 1 costs S-pairs
+        engine.process_to(d + 1)
+        return all(engine.lead_divides(m.exponents) for m in monomials(d + 1))
+
+    found, _ = degree_sweep(
+        ring,
+        range(1, bound + 1),
+        lambda engine, d: candidates(engine, d, monomials(d)),
+        covered,
+    )
+
     def sort_key(f: Polynomial):
-        key = f.ring.order.key(f.lead_exponents())
+        key = ring.order.key(f.lead_exponents())
         return (f.degree(), tuple(-v for v in key))
 
-    return sorted(found, key=sort_key)
+    return sorted((f.monic() for f in found), key=sort_key)
+
+
+def _reynolds_images(action: FiniteGroupAction, monomials):
+    """Reynolds images of the monomials, one per orbit for a monomial group
+    (the images of an orbit's members are proportional)."""
+    tried: set[tuple[int, ...]] = set()
+    for m in monomials:
+        if m.exponents in tried:
+            continue
+        orbit = action._monomial_orbit(m.exponents)
+        if orbit is not None:
+            tried.update(orbit.coefficients)
+        yield reynolds(action, action.ring.monomial(m))
 
 
 def invariants_king(
@@ -413,43 +447,17 @@ def invariants_king(
     Degree by degree up to the bound (|G| by default), a truncated Groebner
     basis of the ideal of found generators is maintained; a monomial whose
     Reynolds image has nonzero normal form contributes a new generator.
-    ``skip_reducible`` skips monomials already in the lead ideal, which does
-    not change the output.  For a monomial group each orbit is tried once
-    per degree: the Reynolds images of its members are proportional.
+    ``skip_reducible`` skips monomials already in the lead ideal at the
+    start of the degree, which does not change the output.  For a monomial
+    group each orbit is tried once per degree.
     """
-    ring = action.ring
-    bound = _degree_bound(action, max_degree)
-    engine = _IncrementalGroebner(ring)
-    found: list[Polynomial] = []
-    for d in range(1, bound + 1):
-        engine.process_to(d)
-        basis = ring.monomial_basis(d)
-        covered = bool(found) and all(
-            engine.lead_divides(m.exponents) for m in basis
-        )
-        if covered:
-            break
-        candidates = (
-            [m for m in basis if not engine.lead_divides(m.exponents)]
-            if skip_reducible
-            else basis
-        )
-        tried: set[tuple[int, ...]] = set()
-        for m in candidates:
-            if m.exponents in tried:
-                continue
-            orbit = action._monomial_orbit(m.exponents)
-            if orbit is not None:
-                tried.update(orbit.coefficients)
-            image = reynolds(action, ring.monomial(m))
-            if image.is_zero():
-                continue
-            if engine.reduce(engine._to_internal(image)):
-                invariant = image.monic()
-                found.append(invariant)
-                engine.add_generator(invariant)
-                engine.process_to(d)
-    return _sorted_generators(found)
+
+    def candidates(engine, d, monomials):
+        if skip_reducible:
+            monomials = [m for m in monomials if not engine.lead_divides(m.exponents)]
+        return _reynolds_images(action, monomials)
+
+    return _sweep(action, _degree_bound(action, max_degree), candidates)
 
 
 def invariants_linear_algebra(
@@ -462,7 +470,6 @@ def invariants_linear_algebra(
     requires the closure; if the closure cannot be computed a bound is
     mandatory.
     """
-    ring = action.ring
     if max_degree is None:
         try:
             bound = action.order()
@@ -472,17 +479,6 @@ def invariants_linear_algebra(
             ) from exc
     else:
         bound = _degree_bound(action, max_degree)
-    engine = _IncrementalGroebner(ring)
-    found: list[Polynomial] = []
-    for d in range(1, bound + 1):
-        engine.process_to(d)
-        basis = ring.monomial_basis(d)
-        if bool(found) and all(engine.lead_divides(m.exponents) for m in basis):
-            break
-        for candidate in invariant_space_basis(action, d):
-            if engine.reduce(engine._to_internal(candidate)):
-                invariant = candidate.monic()
-                found.append(invariant)
-                engine.add_generator(invariant)
-                engine.process_to(d)
-    return _sorted_generators(found)
+    return _sweep(
+        action, bound, lambda engine, d, monomials: invariant_space_basis(action, d)
+    )

@@ -1,13 +1,15 @@
-"""Buchberger's algorithm with optional degree truncation, normal forms, and
-elimination ideals.
+"""Buchberger's algorithm with optional degree truncation, normal forms,
+elimination ideals, and the degree sweep that invariant generators are
+built with.
 
 Pair selection follows the normal strategy (smallest lcm degree, ties broken
 by term order then input index), with Buchberger's coprime-lead and chain
 criteria.  Each lead carries a support bitmask, so a pair with coprime leads
 is dropped when it is created and most divisibility tests are a mask test.
-Over Q the internal arithmetic is integer pseudo-reduction with
-content stripping; results are converted back to monic polynomials at the
-end, so the published bases are the unique reduced ones.
+One reducer serves everything: over Q it is integer pseudo-reduction with
+content stripping, and `normal_form` divides the scale it reports back out.
+Bases are converted back to monic polynomials at the end, so the published
+bases are the unique reduced ones.
 """
 
 from __future__ import annotations
@@ -48,65 +50,10 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-# ---------------------------------------------------------------------------
-# field-exact reduction (public normal forms)
-# ---------------------------------------------------------------------------
-
-
-def _reduce_exact(f: Polynomial, divisors: list[Polynomial]) -> Polynomial:
-    """Full normal form; divisors tried in list order, leftmost reducible
-    term first.  Exact field arithmetic."""
-    ring = f.ring
-    field = ring.field
-    key = ring.order.key
-    div_info = [
-        (g.lead_exponents(), g.lead_coefficient(), g.terms) for g in divisors
-    ]
-    work = dict(f.terms)
-    result: dict[tuple[int, ...], object] = {}
-    heap: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def negkey(exp):
-        k = keys.get(exp)
-        if k is None:
-            k = tuple(-v for v in key(exp))
-            keys[exp] = k
-        return k
-
-    for exp in work:
-        heapq.heappush(heap, (negkey(exp), exp))
-    while heap:
-        _, exp = heapq.heappop(heap)
-        coeff = work.get(exp)
-        if coeff is None or field.is_zero(coeff):
-            work.pop(exp, None)
-            continue
-        hit = None
-        for lead_exp, lead_coeff, terms in div_info:
-            if all(a >= b for a, b in zip(exp, lead_exp)):
-                hit = (lead_exp, lead_coeff, terms)
-                break
-        if hit is None:
-            result[exp] = work.pop(exp)
-            continue
-        lead_exp, lead_coeff, terms = hit
-        factor = field.div(coeff, lead_coeff)
-        shift = tuple(a - b for a, b in zip(exp, lead_exp))
-        for g_exp, g_coeff in terms:
-            target = tuple(a + b for a, b in zip(shift, g_exp))
-            value = field.sub(work.get(target, field.zero()), field.mul(factor, g_coeff))
-            if field.is_zero(value):
-                work.pop(target, None)
-            else:
-                work[target] = value
-                heapq.heappush(heap, (negkey(target), target))
-    return _from_dict(ring, result)
-
-
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis (no term divisible by any
-    lead).  Raises OrderMismatch if f's ring order differs from the basis."""
+    lead); divisors are tried in the order given, leftmost reducible term
+    first.  Raises OrderMismatch if f's ring order differs from the basis."""
     if isinstance(basis, GroebnerBasis):
         if f.ring.order != basis.ring.order:
             raise OrderMismatch(
@@ -128,7 +75,18 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         for g in divisors:
             if g.ring != f.ring:
                 raise RingMismatch(f"{f.ring} vs {g.ring}")
-    return _reduce_exact(f, divisors)
+    engine = _IncrementalGroebner(f.ring)
+    for g in divisors:
+        engine._load(engine._to_internal(g))
+    work, denominator = engine._integral(f)
+    remainder = engine.reduce(work)
+    if engine.p is not None:
+        return _from_dict(f.ring, remainder)
+    up, down = engine.last_scale
+    return _from_dict(
+        f.ring,
+        {e: Fraction(v * down, denominator * up) for e, v in remainder.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +136,19 @@ class _IncrementalGroebner:
 
     # -- conversions ----------------------------------------------------------
 
-    def _to_internal(self, f: Polynomial) -> dict:
+    def _integral(self, f: Polynomial) -> tuple[dict, int]:
+        """f's terms with integer coefficients: over Q, f times the lcm of
+        its denominators, which is returned too (1 over F_p)."""
         if self.p is None:
-            denom_lcm = 1
-            for _, c in f.terms:
-                denom_lcm = denom_lcm * c.denominator // math.gcd(
-                    denom_lcm, c.denominator
-                )
-            work = {e: int(c * denom_lcm) for e, c in f.terms}
-            return self._normalize(work)
-        return {e: c % self.p for e, c in f.terms if c % self.p}
+            denominator = math.lcm(*(c.denominator for _, c in f.terms))
+            work = {
+                e: c.numerator * (denominator // c.denominator) for e, c in f.terms
+            }
+            return work, denominator
+        return {e: c % self.p for e, c in f.terms if c % self.p}, 1
+
+    def _to_internal(self, f: Polynomial) -> dict:
+        return self._normalize(self._integral(f)[0])
 
     def _normalize(self, work: dict) -> dict:
         if not work:
@@ -226,16 +187,16 @@ class _IncrementalGroebner:
         return None
 
     def reduce(self, work: dict) -> dict:
-        """Full normal form in internal arithmetic (result scaled by a
-        positive constant over Q)."""
-        if not work:
-            return work
+        """Full normal form in internal arithmetic.  Over Q it is up/down
+        times the exact remainder, with ``self.last_scale = (up, down)``
+        positive; over F_p both are 1."""
         p = self.p
         result: dict = {}
         heap: list = []
         for exp in work:
             heapq.heappush(heap, (self._negkey(exp), exp))
         steps = 0
+        up = down = 1
         while heap:
             _, exp = heapq.heappop(heap)
             coeff = work.get(exp)
@@ -260,6 +221,7 @@ class _IncrementalGroebner:
                         work[e] *= scale
                     for e in result:
                         result[e] *= scale
+                    up *= scale
                 for g_exp, g_coeff in g.items():
                     target = tuple(a + b for a, b in zip(shift, g_exp))
                     value = work.get(target, 0) - mult * g_coeff
@@ -280,6 +242,7 @@ class _IncrementalGroebner:
                             work[e] //= merged_gcd
                         for e in result:
                             result[e] //= merged_gcd
+                        down *= merged_gcd
             else:
                 factor = coeff * pow(lead_coeff, -1, p) % p
                 for g_exp, g_coeff in g.items():
@@ -290,6 +253,7 @@ class _IncrementalGroebner:
                         heapq.heappush(heap, (self._negkey(target), target))
                     else:
                         work.pop(target, None)
+        self.last_scale = (up, down)
         return result
 
     # -- basis growth -----------------------------------------------------------
@@ -311,22 +275,31 @@ class _IncrementalGroebner:
                 self.heap, (sum(lcm), self._key(lcm), i, new_index, lcm)
             )
 
-    def _append(self, work: dict) -> None:
+    def _load(self, work: dict) -> None:
+        """Append a nonzero element as a divisor, queuing no pairs."""
         work = self._normalize(work)
         lead = max(work, key=self._key)
         self.elements.append(work)
         self.leads.append((lead, work[lead]))
         self.support.append(_support(lead))
+
+    def _append(self, work: dict) -> None:
+        self._load(work)
         self._push_pairs(len(self.elements) - 1)
 
-    def add_generator(self, f: Polynomial) -> None:
+    def add_generator(self, f: Polynomial) -> bool:
+        """Add f's normal form to the basis; whether the basis grew."""
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
         if f.is_zero():
-            return
+            return False
         reduced = self.reduce(self._to_internal(f))
         if reduced:
             self._append(reduced)
+        return bool(reduced)
+
+    def reduces_to_zero(self, f: Polynomial) -> bool:
+        return not self.reduce(self._to_internal(f))
 
     def _spoly(self, i: int, j: int, lcm: tuple[int, ...]) -> dict:
         lead_i, c_i = self.leads[i]
@@ -386,29 +359,58 @@ class _IncrementalGroebner:
 
     def reduced_elements(self) -> list[Polynomial]:
         """Monic inter-reduced basis, sorted ascending by lead term."""
-        order = [
-            idx
-            for idx in sorted(
-                range(len(self.elements)), key=lambda t: self._key(self.leads[t][0])
-            )
-        ]
+        order = sorted(
+            range(len(self.elements)), key=lambda t: self._key(self.leads[t][0])
+        )
+        # Each tail is reduced by all kept elements, its own included: a lead
+        # never divides a smaller term.
+        divisors = _IncrementalGroebner(self.ring)
+        divisors._key_cache = self._key_cache
         kept: list[int] = []
-        kept_leads: list[tuple[int, ...]] = []
         for idx in order:
-            lead = self.leads[idx][0]
-            if any(
-                all(a >= b for a, b in zip(lead, kl)) for kl in kept_leads
-            ):
-                continue
-            kept.append(idx)
-            kept_leads.append(lead)
-        polys = [self.to_polynomial(self.elements[idx]) for idx in kept]
+            if not divisors.lead_divides(self.leads[idx][0]):
+                divisors._load(self.elements[idx])
+                kept.append(idx)
         final = []
-        for i, g in enumerate(polys):
-            others = [h for j, h in enumerate(polys) if j != i]
-            final.append(_reduce_exact(g, others).monic() if others else g)
-        final.sort(key=lambda g: self._key(g.lead_exponents()))
+        for idx in kept:
+            lead, coeff = self.leads[idx]
+            tail = {e: v for e, v in self.elements[idx].items() if e != lead}
+            reduced = divisors.reduce(tail)
+            up, down = divisors.last_scale
+            if down != 1:
+                reduced = {e: v * down for e, v in reduced.items()}
+            reduced[lead] = coeff * up
+            final.append(self.to_polynomial(reduced))
         return final
+
+
+# ---------------------------------------------------------------------------
+# degree sweep
+# ---------------------------------------------------------------------------
+
+
+def degree_sweep(ring: PolynomialRing, degrees, candidates, complete):
+    """Keep, degree by degree, the homogeneous candidates that are new modulo
+    the ideal of those kept before them.
+
+    For each d in ``degrees``, S-pairs up to degree d are handled, and each
+    of ``candidates(engine, d)`` is kept when its normal form is nonzero.  A
+    kept candidate adds only pairs above degree d, since no earlier lead
+    divides its lead.  Once something is kept, ``complete(engine, d)`` says
+    after each degree whether nothing new exists above d, which stops the
+    sweep.  Returns the kept candidates, unchanged and in order, and whether
+    ``complete`` held.
+    """
+    engine = _IncrementalGroebner(ring)
+    kept: list[Polynomial] = []
+    for d in degrees:
+        engine.process_to(d)
+        for f in candidates(engine, d):
+            if engine.add_generator(f):
+                kept.append(f)
+        if kept and complete(engine, d):
+            return kept, True
+    return kept, False
 
 
 # ---------------------------------------------------------------------------

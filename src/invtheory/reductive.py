@@ -20,8 +20,8 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
-    _IncrementalGroebner,
     buchberger,
+    degree_sweep,
     elimination_ideal,
     normal_form,
 )
@@ -102,16 +102,13 @@ def _minimal_generators(polys: list[Polynomial]) -> list[Polynomial]:
     ordered = sorted(
         polys, key=lambda f: (f.degree(), ring.order.key(f.lead_exponents()))
     )
-    engine = _IncrementalGroebner(ring)
-    kept: list[Polynomial] = []
-    for f in ordered:
-        if engine.elements:
-            engine.process_to(f.degree())
-            if not engine.reduce(engine._to_internal(f)):
-                continue
-        kept.append(f.monic())
-        engine.add_generator(f)
-    return kept
+    kept, _ = degree_sweep(
+        ring,
+        sorted({f.degree() for f in ordered}),
+        lambda engine, d: [f for f in ordered if f.degree() == d],
+        lambda engine, d: False,
+    )
+    return [f.monic() for f in kept]
 
 
 def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
@@ -255,22 +252,19 @@ def reductive_invariants(action: LinearlyReductiveAction) -> list[Polynomial]:
     if not ideal:
         return []
     top = max(h.degree() for h in ideal)
-    engine = _IncrementalGroebner(action.target_ring)
-    found: list[Polynomial] = []
-    for d in range(1, top + 1):
-        engine.process_to(d)
-        for f in reductive_invariant_basis(action, d):
-            if engine.elements and not engine.reduce(engine._to_internal(f)):
-                continue
-            found.append(f)
-            engine.add_generator(f)
-            engine.process_to(d)
-        if found:
-            engine.process_to(top)
-            if all(
-                not engine.reduce(engine._to_internal(h)) for h in ideal
-            ):
-                return found
+
+    def generated(engine, d: int) -> bool:
+        engine.process_to(top)
+        return all(engine.reduces_to_zero(h) for h in ideal)
+
+    found, complete = degree_sweep(
+        action.target_ring,
+        range(1, top + 1),
+        lambda engine, d: reductive_invariant_basis(action, d),
+        generated,
+    )
+    if complete:
+        return found
     raise IncompleteGeneration(
         f"invariants through degree {top} do not generate the Hilbert ideal; "
         "the action is not a valid linearly reductive group action"

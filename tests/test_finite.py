@@ -252,3 +252,52 @@ def test_generator_invariance_under_full_closure():
     for f in invariants_king(A4):
         for g in A4.group_closure():
             assert act_on(g, f) == f
+
+
+# The dihedral group of order 12 permuting the vertices 1..6 of a hexagon:
+# the rotation i -> i+1 and the reflection i -> 2-i (mod 6).
+D6 = FiniteGroupAction(
+    polynomial_ring(QQ, ("x1", "x2", "x3", "x4", "x5", "x6")),
+    [permutation_matrix("234561"), permutation_matrix("165432")],
+)
+
+
+def test_d6_generators_are_pinned():
+    # Both sweeps keep their own minimal set; King's reducible-monomial
+    # filter is taken once per degree, and taking it while generators are
+    # being accepted would change the degree-3 generators.
+    assert [format_polynomial(f) for f in invariants_king(D6)] == [
+        "x1+x2+x3+x4+x5+x6",
+        "x1^2+x2^2+x3^2+x4^2+x5^2+x6^2",
+        "x1*x2+x2*x3+x3*x4+x4*x5+x1*x6+x5*x6",
+        "x1*x3+x2*x4+x1*x5+x3*x5+x2*x6+x4*x6",
+        "x1^3+x2^3+x3^3+x4^3+x5^3+x6^3",
+        "x1^2*x3+x1*x3^2+x2^2*x4+x2*x4^2+x1^2*x5+x3^2*x5+x1*x5^2+x3*x5^2"
+        "+x2^2*x6+x4^2*x6+x2*x6^2+x4*x6^2",
+        "x1*x2*x3+x2*x3*x4+x3*x4*x5+x1*x2*x6+x1*x5*x6+x4*x5*x6",
+        "x1^3*x2+x1*x2^3+x2^3*x3+x2*x3^3+x3^3*x4+x3*x4^3+x4^3*x5+x4*x5^3"
+        "+x1^3*x6+x5^3*x6+x1*x6^3+x5*x6^3",
+        "x1*x2^2*x4+x1*x3^2*x4+x1^2*x2*x5+x2*x3^2*x5+x2*x4^2*x5+x1*x4*x5^2"
+        "+x1^2*x3*x6+x2^2*x3*x6+x3*x4^2*x6+x3*x5^2*x6+x1*x4*x6^2+x2*x5*x6^2",
+        "x1^2*x4^2+x2^2*x5^2+x3^2*x6^2",
+        "x1^4*x4+x1*x4^4+x2^4*x5+x2*x5^4+x3^4*x6+x3*x6^4",
+        "x1^5*x2+x1*x2^5+x2^5*x3+x2*x3^5+x3^5*x4+x3*x4^5+x4^5*x5+x4*x5^5"
+        "+x1^5*x6+x5^5*x6+x1*x6^5+x5*x6^5",
+    ]
+    assert [format_polynomial(f) for f in invariants_linear_algebra(D6)] == [
+        "x1+x2+x3+x4+x5+x6",
+        "x1^2+x2^2+x3^2+x4^2+x5^2+x6^2",
+        "x1*x2+x2*x3+x3*x4+x4*x5+x1*x6+x5*x6",
+        "x1*x3+x2*x4+x1*x5+x3*x5+x2*x6+x4*x6",
+        "x1^3+x2^3+x3^3+x4^3+x5^3+x6^3",
+        "x1^2*x2+x1*x2^2+x2^2*x3+x2*x3^2+x3^2*x4+x3*x4^2+x4^2*x5+x4*x5^2"
+        "+x1^2*x6+x5^2*x6+x1*x6^2+x5*x6^2",
+        "x1^2*x3+x1*x3^2+x2^2*x4+x2*x4^2+x1^2*x5+x3^2*x5+x1*x5^2+x3*x5^2"
+        "+x2^2*x6+x4^2*x6+x2*x6^2+x4*x6^2",
+        "x1^4+x2^4+x3^4+x4^4+x5^4+x6^4",
+        "x1^3*x2+x1*x2^3+x2^3*x3+x2*x3^3+x3^3*x4+x3*x4^3+x4^3*x5+x4*x5^3"
+        "+x1^3*x6+x5^3*x6+x1*x6^3+x5*x6^3",
+        "x1^2*x2^2+x2^2*x3^2+x3^2*x4^2+x4^2*x5^2+x1^2*x6^2+x5^2*x6^2",
+        "x1^5+x2^5+x3^5+x4^5+x5^5+x6^5",
+        "x1^6+x2^6+x3^6+x4^6+x5^6+x6^6",
+    ]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +291,93 @@ def test_engine_normal_forms_have_no_divisible_term():
             remainder = engine.reduce(engine._to_internal(random_polynomial(ring, rng)))
             for exp in remainder:
                 assert not any(all(a <= b for a, b in zip(lead, exp)) for lead in leads)
+
+
+# ---------------------------------------------------------------------------
+# normal forms: differential tests against plain division in field arithmetic
+# ---------------------------------------------------------------------------
+
+NORMAL_FORM_ORDERS = [
+    TermOrder.lex(),
+    TermOrder.grevlex(),
+    TermOrder.elimination(1),
+    TermOrder.elimination(2),
+]
+
+
+def fractional_polynomial(ring, rng, max_terms, max_degree):
+    """Random polynomial with fractional coefficients, coerced into the ring's field."""
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        exps = [0] * ring.n
+        for _ in range(rng.randrange(max_degree + 1)):
+            exps[rng.randrange(ring.n)] += 1
+        terms[tuple(exps)] = Fraction(rng.randrange(-9, 10) or 1, rng.randrange(1, 7))
+    return ring.from_terms(terms)
+
+
+def linear_form(ring, rng, first):
+    """Random linear form in the variables from index ``first`` on; its lead
+    is that variable in every order here."""
+    return ring.from_terms(
+        {
+            tuple(int(i == v) for i in range(ring.n)):
+                Fraction(rng.randrange(1, 10), rng.randrange(1, 7)) * rng.choice((1, -1))
+            for v in range(first, ring.n)
+        }
+    )
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("order", NORMAL_FORM_ORDERS, ids=str)
+def test_normal_form_matches_plain_division(order, p):
+    field = QQ if p is None else prime_field(p)
+    rng = random.Random(f"normal-form/{order}/{p}")
+    ring = polynomial_ring(field, ("x", "y", "z"), order=order)
+    for _ in range(20):
+        # Non-monic divisors in list order; most lists are not Groebner bases.
+        drawn = [fractional_polynomial(ring, rng, 3, 2) for _ in range(rng.randrange(1, 4))]
+        divisors = [g for g in drawn if not g.is_zero()]
+        f = fractional_polynomial(ring, rng, 4, 3) * fractional_polynomial(ring, rng, 4, 3)
+        assert normal_form(f, drawn) == reference_remainder(f, divisors)
+        if divisors:
+            basis = buchberger(divisors)
+            assert normal_form(f, basis) == reference_remainder(f, list(basis.elements))
+    for _ in range(2):
+        # Long divisions: over Q the reducer rescales the remainder by lead
+        # coefficients, and the content 11 is divided out every 64 steps.
+        divisors = [
+            fractional_polynomial(ring, rng, 3, 2),
+            linear_form(ring, rng, 0),
+            linear_form(ring, rng, 1),
+        ]
+        f = 11 * (linear_form(ring, rng, 0) ** 12 + fractional_polynomial(ring, rng, 3, 3))
+        assert normal_form(f, divisors) == reference_remainder(f, divisors)
+
+
+def test_reduced_basis_tails_are_exact():
+    # The first tail takes 78 division steps by the second element, long
+    # enough for the reducer's periodic content division to act on it.
+    ring = polynomial_ring(QQ, ("x", "y", "z", "w"), order=TermOrder.lex())
+    lead = ring.parse("x^5")
+    tail = 11 * ring.parse("y+2/3*z+1/5*w") ** 12
+    g = ring.parse("3*y-1/2*z+3/7*w")
+    expected = (g.monic(), lead + reference_remainder(tail, [g]))
+    assert buchberger([lead + tail, g]).elements == expected
+
+
+def test_engine_internals_stay_in_the_groebner_module():
+    # The reducer and the degree sweep live behind groebner.py: other
+    # modules go through normal_form and degree_sweep.
+    package = Path(__file__).resolve().parent.parent / "src" / "invtheory"
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "groebner.py"
+        for name in ("_IncrementalGroebner", "_to_internal", "_reduce_exact")
+        if name in path.read_text()
+    ]
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from invtheory import (
     DiagonalAction,
     DimensionMismatch,
+    IncompleteGeneration,
     LinearlyReductiveAction,
     NonZeroCharacteristic,
     QQ,
@@ -161,3 +162,14 @@ def test_rejects_name_collisions_and_zero_ideal():
     with pytest.raises(ValueError):
         LinearlyReductiveAction(
             polynomial_ring(QQ, ("z",)), [], [["1"]], polynomial_ring(QQ, ("x",)))
+
+
+def test_invalid_group_raises_incomplete_generation():
+    # V(t^2-3t+2) = {1, 2} is not a group under multiplication, so its
+    # "invariants" through the top Hilbert-ideal degree miss x^2.
+    action = LinearlyReductiveAction(
+        polynomial_ring(QQ, ("t",)), ["t^2-3*t+2"], [["t", "0"], ["0", "1"]],
+        polynomial_ring(QQ, ("x", "y")))
+    assert [format_polynomial(h) for h in hilbert_ideal(action)] == ["y", "x^2"]
+    with pytest.raises(IncompleteGeneration):
+        reductive_invariants(action)
