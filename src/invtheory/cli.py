@@ -346,18 +346,21 @@ def _resolve_literal(args, kind: str, literal_q):
     return literal_q
 
 
-def _compute_ring(args, action, kind: str, literal_q,
-                  use_max_degree: bool = True) -> RingOfInvariants:
+def _ring_options(args, kind: str, literal_q,
+                  use_max_degree: bool = True) -> dict:
+    """invariant_ring keywords from the flags; rejects flags the kind lacks."""
     algorithm = _algorithm_name(args, kind)
     q = _resolve_literal(args, kind, literal_q)
     max_degree = getattr(args, "max_degree", None) if use_max_degree else None
     if max_degree is not None and kind != "finite":
         raise _UsageError("--max-degree applies only to finite actions")
+    return {"algorithm": algorithm, "max_degree": max_degree, "literal_q": q}
+
+
+def _compute_ring(args, action, kind: str, literal_q,
+                  use_max_degree: bool = True) -> RingOfInvariants:
     return invariant_ring(
-        action,
-        algorithm=algorithm,
-        max_degree=max_degree,
-        literal_q=q,
+        action, **_ring_options(args, kind, literal_q, use_max_degree)
     )
 
 
@@ -381,6 +384,7 @@ def _cmd_molien(args, action, kind, literal_q, elapsed_from):
 
 
 def _cmd_hilbert_ideal(args, action, kind, literal_q, elapsed_from):
+    options = _ring_options(args, kind, literal_q)
     if kind == "reductive":
         gens = hilbert_ideal(action)
         strings = [format_polynomial(f) for f in gens]
@@ -396,7 +400,7 @@ def _cmd_hilbert_ideal(args, action, kind, literal_q, elapsed_from):
     else:
         # for finite and diagonal actions the minimal invariant generators
         # also generate the Hilbert ideal
-        inv = _compute_ring(args, action, kind, literal_q)
+        inv = invariant_ring(action, **options)
         payload, lines = _generator_payload(inv)
         payload = {"command": "hilbert-ideal", "kind": kind, **payload}
     _emit(payload, lines, args.output, time.perf_counter() - elapsed_from)

@@ -18,15 +18,15 @@ from .errors import (
     NonZeroCharacteristic,
     RingMismatch,
 )
-from .groebner import (
-    GroebnerBasis,
-    buchberger,
-    degree_sweep,
-    elimination_ideal,
-    normal_form,
-)
+from .groebner import buchberger, degree_sweep, elimination_ideal, normal_form
 from .linalg import nullspace
-from .poly import Polynomial, PolynomialRing, fresh_names, polynomial_ring
+from .poly import (
+    Polynomial,
+    PolynomialRing,
+    fresh_names,
+    polynomial_ring,
+    substitute,
+)
 
 
 class LinearlyReductiveAction:
@@ -60,8 +60,7 @@ class LinearlyReductiveAction:
             tuple(self._coerce(group_ring, entry) for entry in row)
             for row in rows
         )
-        self._group_basis: GroebnerBasis | None = None
-        self._expansion_cache = None
+        self._expansion = None
 
     @staticmethod
     def _coerce(ring: PolynomialRing, value) -> Polynomial:
@@ -72,11 +71,6 @@ class LinearlyReductiveAction:
                 raise RingMismatch("entry lives in the wrong ring")
             return value
         return ring.constant(ring.field.coerce(value))
-
-    def group_groebner_basis(self) -> GroebnerBasis:
-        if self._group_basis is None:
-            self._group_basis = buchberger(list(self.group_ideal))
-        return self._group_basis
 
     def __repr__(self) -> str:
         return (
@@ -111,16 +105,39 @@ def _minimal_generators(polys: list[Polynomial]) -> list[Polynomial]:
     return [f.monic() for f in kept]
 
 
+def _expansion(action: LinearlyReductiveAction):
+    """Ring Q[z, x] (grevlex), the image of each x_i under the generic group
+    element, and the Groebner basis of the group ideal in that ring; built
+    once per action."""
+    if action._expansion is None:
+        gring, tring = action.group_ring, action.target_ring
+        m = gring.n
+        combined = polynomial_ring(
+            tring.field, tuple(gring.names) + tuple(tring.names)
+        )
+        images = []
+        for row in action.matrix:
+            img = combined.zero()
+            for j, entry in enumerate(row):
+                if not entry.is_zero():
+                    img = img + _embed(entry, combined, 0) * combined.variable(m + j)
+            images.append(img)
+        basis = buchberger([_embed(f, combined, 0) for f in action.group_ideal])
+        action._expansion = (combined, images, basis)
+    return action._expansion
+
+
 def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
     """Minimal homogeneous generators of the ideal of the target ring spanned
     by all positive-degree invariants.
 
-    Eliminates the group variables from the graph relations
-    y_i - sum_j matrix[i][j] x_j together with the group ideal, then sets
-    every y to zero.  The generators need not be invariant themselves.
+    Eliminates the group variables from the graph relations y_i - image_i
+    together with the group ideal, then sets every y to zero.  The
+    generators need not be invariant themselves.
     """
     gring, tring = action.group_ring, action.target_ring
-    m, n = gring.n, tring.n
+    n = tring.n
+    _, images, _ = _expansion(action)
     ynames = fresh_names(
         n, set(gring.names) | set(tring.names), ("y", "w", "v", "h")
     )
@@ -128,23 +145,16 @@ def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
         tring.field, tuple(gring.names) + tuple(tring.names) + ynames
     )
     relations = [_embed(f, combined, 0) for f in action.group_ideal]
-    for i in range(n):
-        rel = combined.variable(m + n + i)
-        for j in range(n):
-            entry = action.matrix[i][j]
-            if entry.is_zero():
-                continue
-            rel = rel - _embed(entry, combined, 0) * combined.variable(m + j)
-        relations.append(rel)
+    relations += [
+        combined.variable(gring.n + n + i) - _embed(img, combined, 0)
+        for i, img in enumerate(images)
+    ]
     eliminated = elimination_ideal(relations, eliminate=gring.names)
     projected: list[Polynomial] = []
     for g in eliminated:
-        acc: dict = {}
-        for exp, coeff in g.terms:
-            if any(exp[n:]):
-                continue
-            acc[exp[:n]] = acc.get(exp[:n], tring.field.zero()) + coeff
-        h = tring.from_terms(acc)
+        h = tring.from_terms(
+            {exp[:n]: coeff for exp, coeff in g.terms if not any(exp[n:])}
+        )
         if h.is_zero():
             continue
         if not h.is_homogeneous():
@@ -156,78 +166,34 @@ def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
     return _minimal_generators(projected)
 
 
-def _variable_images(action: LinearlyReductiveAction):
-    """Combined ring Q[z, x] together with the image of each x_i under
-    the generic group element."""
-    if action._expansion_cache is not None:
-        return action._expansion_cache
-    gring, tring = action.group_ring, action.target_ring
-    m, n = gring.n, tring.n
-    combined = polynomial_ring(
-        tring.field, tuple(gring.names) + tuple(tring.names)
-    )
-    images = []
-    for i in range(n):
-        img = combined.zero()
-        for j in range(n):
-            entry = action.matrix[i][j]
-            if entry.is_zero():
-                continue
-            img = img + _embed(entry, combined, 0) * combined.variable(m + j)
-        images.append(img)
-    action._expansion_cache = (combined, images)
-    return action._expansion_cache
-
-
 def reductive_invariant_basis(action: LinearlyReductiveAction, degree: int) -> list[Polynomial]:
     """Reduced-echelon basis of the invariant polynomials of the given degree.
 
-    Expands sigma(m) - m for every degree-`degree` monomial m, reduces each
-    x-monomial's z-coefficient modulo the group ideal, and solves the linear
-    system expressing that every surviving z-monomial coefficient vanishes.
+    Expands sigma(m) - m in Q[z, x] for every degree-`degree` monomial m
+    with `substitute`, takes its normal form modulo the group ideal there,
+    and solves the linear system expressing that every surviving term
+    vanishes.  The group basis has leads in z alone, so reduction keeps each
+    term's x-part and the solution does not depend on the group ring's order.
     """
-    gring, tring = action.group_ring, action.target_ring
-    m = gring.n
+    tring = action.target_ring
     monos = tring.monomial_basis(degree)
     if not monos:
         return []
-    group_basis = action.group_groebner_basis()
-    combined, images = _variable_images(action)
-    power_cache: dict[tuple[int, int], Polynomial] = {}
-
-    def image_power(i: int, e: int) -> Polynomial:
-        got = power_cache.get((i, e))
-        if got is None:
-            got = images[i] ** e
-            power_cache[(i, e)] = got
-        return got
-
+    combined, images, group_basis = _expansion(action)
+    m = action.group_ring.n
     rows_map: dict = {}
-    zero_z = (0,) * m
     for col, mono in enumerate(monos):
-        expansion = combined.one()
-        for i, e in enumerate(mono.exponents):
-            if e:
-                expansion = expansion * image_power(i, e)
-        buckets: dict = {}
-        for exp, coeff in expansion.terms:
-            buckets.setdefault(exp[m:], {})[exp[:m]] = coeff
-        own = buckets.setdefault(mono.exponents, {})
-        own[zero_z] = own.get(zero_z, tring.field.zero()) - tring.field.one()
-        for xpart, zdict in buckets.items():
-            zpoly = gring.from_terms(zdict)
-            if zpoly.is_zero():
-                continue
-            residue = normal_form(zpoly, group_basis)
-            for zexp, coeff in residue.terms:
-                rows_map.setdefault((xpart, zexp), {})[col] = coeff
+        shifted = combined.monomial((0,) * m + mono.exponents)
+        moved = substitute(tring.monomial(mono.exponents), images) - shifted
+        # rows sorted by x-part first: rref does fewer row updates that way
+        for exp, coeff in normal_form(moved, group_basis).terms:
+            rows_map.setdefault((exp[m:], exp[:m]), {})[col] = coeff
+    zero = tring.field.zero()
     width = len(monos)
-    rows = []
-    for key in sorted(rows_map):
-        entries = rows_map[key]
-        rows.append(
-            [entries.get(col, tring.field.zero()) for col in range(width)]
-        )
+    rows = list(dict.fromkeys(
+        tuple(rows_map[key].get(col, zero) for col in range(width))
+        for key in sorted(rows_map)
+    ))
     kernel = nullspace(rows, width, tring.field)
     basis = []
     for vec in kernel:

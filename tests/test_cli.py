@@ -128,6 +128,15 @@ def test_hilbert_ideal_command(tmp_path, capsys):
     assert "b^2-4*a*c" in out
 
 
+def test_hilbert_ideal_rejects_finite_only_flags_on_reductive_action(tmp_path, capsys):
+    path = write(tmp_path, SL2_DOC)
+    for flags in (["--max-degree", "3"], ["--algorithm", "linear"], ["--literal"]):
+        code, out, err = run(capsys, ["hilbert-ideal", path] + flags)
+        assert code == 1
+        assert flags[0] in err
+        assert out == ""
+
+
 def test_defining_ideal_command(tmp_path, capsys):
     code, out, _ = run(capsys, [
         "defining-ideal", write(tmp_path, PM_DOC), "--algorithm", "linear", "--max-degree", "2"])

@@ -4,6 +4,7 @@ import pytest
 
 from invtheory import (
     DiagonalAction,
+    TermOrder,
     DimensionMismatch,
     IncompleteGeneration,
     LinearlyReductiveAction,
@@ -173,3 +174,48 @@ def test_invalid_group_raises_incomplete_generation():
     assert [format_polynomial(h) for h in hilbert_ideal(action)] == ["y", "x^2"]
     with pytest.raises(IncompleteGeneration):
         reductive_invariants(action)
+
+
+# O(2) = {g : g g^T = 1} acting on Q[x, y] by its defining representation;
+# three group relations whose grevlex basis has six elements
+O2 = LinearlyReductiveAction(
+    polynomial_ring(QQ, ("a", "b", "c", "d")),
+    ["a^2+b^2-1", "c^2+d^2-1", "a*c+b*d"],
+    [["a", "b"], ["c", "d"]],
+    polynomial_ring(QQ, ("x", "y")))
+
+
+def test_orthogonal_group_invariants():
+    assert len(buchberger(list(O2.group_ideal))) == 6
+    assert [format_polynomial(h) for h in hilbert_ideal(O2)] == ["x^2+y^2"]
+    assert [format_polynomial(f) for f in reductive_invariants(O2)] == ["x^2+y^2"]
+    bases = [[format_polynomial(f) for f in reductive_invariant_basis(O2, d)]
+             for d in (1, 2, 3, 4)]
+    assert bases == [[], ["x^2+y^2"], [], ["x^4+2*x^2*y^2+y^4"]]
+
+
+def test_invariant_basis_does_not_depend_on_group_ring_order():
+    lex_ring = polynomial_ring(QQ, ("z11", "z12", "z21", "z22"), TermOrder.lex())
+    lex = LinearlyReductiveAction(
+        lex_ring, ["z11*z22-z12*z21-1"], SL2_MATRIX, QUADRIC_RING)
+    for d in (1, 2, 3, 4):
+        assert reductive_invariant_basis(lex, d) == reductive_invariant_basis(SL2, d)
+
+
+def test_binary_cubic_invariants_are_the_discriminant():
+    # SL2 on a*x^3 + b*x^2*y + c*x*y^2 + d*y^3 by linear substitution
+    cubic_ring = polynomial_ring(QQ, ("a", "b", "c", "d"))
+    matrix = [
+        ["z11^3", "z11^2*z21", "z11*z21^2", "z21^3"],
+        ["3*z11^2*z12", "z11^2*z22+2*z11*z12*z21",
+         "2*z11*z21*z22+z12*z21^2", "3*z21^2*z22"],
+        ["3*z11*z12^2", "2*z11*z12*z22+z12^2*z21",
+         "z11*z22^2+2*z12*z21*z22", "3*z21*z22^2"],
+        ["z12^3", "z12^2*z22", "z12*z22^2", "z22^3"],
+    ]
+    action = LinearlyReductiveAction(
+        GROUP_RING, ["z11*z22-z12*z21-1"], matrix, cubic_ring)
+    gens = reductive_invariants(action)
+    assert [f.monic() for f in gens] == [
+        cubic_ring.parse("b^2*c^2-4*a*c^3-4*b^3*d-27*a^2*d^2+18*a*b*c*d").monic()
+    ]
