@@ -11,8 +11,10 @@ generating set is unique.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DimensionMismatch, RingMismatch, RootOfUnityUnavailable
-from .poly import Monomial, Polynomial, PolynomialRing
+from .poly import Monomial, Polynomial, PolynomialRing, support_mask
 
 
 class DiagonalAction:
@@ -77,6 +79,40 @@ def is_invariant_exponent(action: DiagonalAction, exponents, literal_q: int | No
 
 
 # ---------------------------------------------------------------------------
+# shared pieces: unit vectors and the domination test
+# ---------------------------------------------------------------------------
+
+
+def _units(n: int) -> list[tuple[int, ...]]:
+    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+
+def _by_degree(vec: tuple[int, ...]):
+    return (sum(vec), vec)
+
+
+def _dominates(vec: tuple[int, ...], found) -> bool:
+    """Whether vec lies componentwise above some vector of ``found``, a list
+    of (support mask, vector) pairs.  A vector using a variable outside vec's
+    support cannot lie below it, so the mask test rejects it before the
+    exponents are compared."""
+    outside = ~support_mask(vec)
+    for mask, low in found:
+        if not mask & outside and all(map(operator.le, low, vec)):
+            return True
+    return False
+
+
+def _minimal_vectors(vectors) -> list[tuple[int, ...]]:
+    """Componentwise-minimal elements of a set of vectors in N^k."""
+    kept: list = []
+    for vec in sorted(set(vectors), key=_by_degree):
+        if not _dominates(vec, kept):
+            kept.append((support_mask(vec), vec))
+    return [vec for _, vec in kept]
+
+
+# ---------------------------------------------------------------------------
 # finite abelian part: congruence sieve
 # ---------------------------------------------------------------------------
 
@@ -87,41 +123,29 @@ def _congruence_generators(moduli, rows, n: int) -> list[tuple[int, ...]]:
     Degree-graded sieve over the staircase complement of the accepted
     generators: a level holds the vectors with no accepted divisor, so a
     weight-zero vector on a level is irreducible, and once a level empties no
-    further irreducible vectors exist.
+    further irreducible vectors exist.  A vector grows only at coordinates
+    from its last nonzero one on, so each vector has exactly one parent, and
+    that parent is on the previous level: it has no accepted divisor either,
+    and it is not weight-zero, since the vector would then lie above it.
     """
     rows = [tuple(w % d for w in row) for row, d in zip(rows, moduli)]
-
-    def weight_zero(vec: tuple[int, ...]) -> bool:
-        for row, d in zip(rows, moduli):
-            if sum(w * a for w, a in zip(row, vec)) % d != 0:
-                return False
-        return True
-
-    accepted: list[tuple[int, ...]] = []
-    level = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    ]
+    accepted: list = []
+    level = list(zip(_units(n), range(n)))  # (vector, its last nonzero index)
     while level:
         survivors = []
-        for vec in level:
-            if weight_zero(vec):
-                accepted.append(vec)
+        for vec, last in level:
+            if all(sum(map(operator.mul, row, vec)) % d == 0
+                   for row, d in zip(rows, moduli)):
+                accepted.append((support_mask(vec), vec))
             else:
-                survivors.append(vec)
-        next_level = set()
-        for vec in survivors:
-            for i in range(n):
-                grown = tuple(
-                    a + 1 if j == i else a for j, a in enumerate(vec)
-                )
-                if any(
-                    all(x <= y for x, y in zip(gen, grown)) for gen in accepted
-                ):
-                    continue
-                next_level.add(grown)
-        level = sorted(next_level)
-    accepted.sort(key=lambda v: (sum(v), v))
-    return accepted
+                survivors.append((vec, last))
+        level = []
+        for vec, last in survivors:
+            for i in range(last, n):
+                grown = vec[:i] + (vec[i] + 1,) + vec[i + 1:]
+                if not _dominates(grown, accepted):
+                    level.append((grown, i))
+    return sorted((vec for _, vec in accepted), key=_by_degree)
 
 
 def abelian_generators(cyclic_orders, cyclic_weights) -> list[Monomial]:
@@ -140,76 +164,20 @@ def abelian_generators(cyclic_orders, cyclic_weights) -> list[Monomial]:
 
 
 # ---------------------------------------------------------------------------
-# torus part: Hilbert basis by sequential hyperplane completion
+# torus part: Hilbert basis by Contejean-Devie completion
 # ---------------------------------------------------------------------------
-
-
-def _single_equation_minimal_solutions(values: list[int]) -> list[tuple[int, ...]]:
-    """Minimal nonzero a in N^m with sum a_i values_i = 0.
-
-    Breadth-first completion: a vector only grows by a coordinate whose value
-    sign opposes the current total, and anything dominating a found solution
-    is discarded.  Every minimal solution admits such a sign-alternating
-    build-up path, so the sweep is complete.
-    """
-    m = len(values)
-    solutions: list[tuple[int, ...]] = []
-    frontier: dict[tuple[int, ...], int] = {}
-    fresh: list[tuple[int, ...]] = []
-    for i in range(m):
-        unit = tuple(1 if j == i else 0 for j in range(m))
-        if values[i] == 0:
-            fresh.append(unit)
-        else:
-            frontier[unit] = values[i]
-    solutions.extend(sorted(fresh))
-    while frontier:
-        next_frontier: dict[tuple[int, ...], int] = {}
-        fresh = []
-        for vec, total in frontier.items():
-            for i in range(m):
-                if values[i] * total >= 0:
-                    continue
-                grown = tuple(a + 1 if j == i else a for j, a in enumerate(vec))
-                if any(
-                    all(x <= y for x, y in zip(sol, grown)) for sol in solutions
-                ):
-                    continue
-                new_total = total + values[i]
-                if new_total == 0:
-                    fresh.append(grown)
-                else:
-                    next_frontier[grown] = new_total
-        solutions.extend(sorted(set(fresh)))
-        frontier = {
-            vec: total
-            for vec, total in next_frontier.items()
-            if not any(
-                all(x <= y for x, y in zip(sol, vec)) for sol in solutions
-            )
-        }
-    solutions.sort(key=lambda v: (sum(v), v))
-    return solutions
-
-
-def _minimal_vectors(vectors) -> list[tuple[int, ...]]:
-    """Componentwise-minimal elements of a set of vectors in N^k."""
-    unique = sorted(set(vectors), key=lambda v: (sum(v), v))
-    kept: list[tuple[int, ...]] = []
-    for vec in unique:
-        if any(all(x <= y for x, y in zip(item, vec)) for item in kept):
-            continue
-        kept.append(vec)
-    return kept
 
 
 def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
     """Hilbert basis of {c in N^k : sum c_j v_j = 0} for integer vectors v_j.
 
-    Hyperplane rows are imposed one at a time: elements of the current monoid
-    are rewritten in multiplicities over its generating set, the single
-    equation for the next row is solved by sign-constrained completion, and
-    the mapped solutions are pruned to componentwise-minimal vectors.
+    Contejean-Devie completion over all rows at once (Inf. Comput. 1994):
+    starting from the unit vectors, c grows by e_i only when the running
+    total W c points against v_i, <W c, v_i> < 0; anything lying above an
+    accepted solution is dropped, and a vector whose total is zero is
+    accepted.  Below any minimal solution s, a partial c has
+    <W c, W (s - c)> = -|W c|^2 < 0, so some such step stays below s and the
+    sweep is complete; Contejean and Devie show that it terminates.
     """
     vectors = [tuple(int(w) for w in v) for v in weight_vectors]
     k = len(vectors)
@@ -218,34 +186,39 @@ def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
     r = len(vectors[0])
     if any(len(v) != r for v in vectors):
         raise DimensionMismatch("weight vectors differ in length")
-    generators = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    for row in range(r):
-        values = [
-            sum(g[j] * vectors[j][row] for j in range(k)) for g in generators
-        ]
-        combos = _single_equation_minimal_solutions(values)
-        mapped = []
-        for combo in combos:
-            total = [0] * k
-            for i, mult in enumerate(combo):
-                if mult:
-                    for j in range(k):
-                        total[j] += mult * generators[i][j]
-            mapped.append(tuple(total))
-        generators = _minimal_vectors(mapped)
-        if not generators:
-            break
-    return generators
+    units = _units(k)
+    if r == 0:
+        return units  # every unit solves; kept in index order, not sorted
+    solutions: list = []
+    frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for unit, v in zip(units, vectors):
+        if any(v):
+            frontier[unit] = v
+        else:
+            solutions.append((support_mask(unit), unit))
+    while frontier:
+        grown_level: dict[tuple[int, ...], tuple[int, ...]] = {}
+        fresh = set()
+        for vec, total in frontier.items():
+            for i, v in enumerate(vectors):
+                if sum(map(operator.mul, total, v)) >= 0:
+                    continue
+                grown = vec[:i] + (vec[i] + 1,) + vec[i + 1:]
+                if grown in grown_level or grown in fresh or _dominates(grown, solutions):
+                    continue
+                new_total = tuple(map(operator.add, total, v))
+                if any(new_total):
+                    grown_level[grown] = new_total
+                else:
+                    fresh.add(grown)
+        solutions.extend((support_mask(vec), vec) for vec in fresh)
+        frontier = grown_level
+    return sorted((vec for _, vec in solutions), key=_by_degree)
 
 
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
-
-
-def _monomial_set(exponent_vectors) -> list[Monomial]:
-    minimal = _minimal_vectors(exponent_vectors)
-    return [Monomial(v) for v in minimal]
 
 
 def diagonal_invariants(action: DiagonalAction) -> list[Monomial]:
@@ -256,30 +229,20 @@ def diagonal_invariants(action: DiagonalAction) -> list[Monomial]:
     set gets a final irreducibility pass.
     """
     n = action.ring.n
-    r = action.torus_rank
-    if action.cyclic_orders:
-        abelian = _congruence_generators(
-            list(action.cyclic_orders), list(action.cyclic_rows()), n
-        )
-    else:
-        abelian = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    if r == 0:
-        return _monomial_set(abelian)
+    abelian = _congruence_generators(
+        list(action.cyclic_orders), list(action.cyclic_rows()), n
+    )
+    if action.torus_rank == 0:
+        return [Monomial(v) for v in abelian]
     torus = action.torus_rows()
     weight_vectors = [
-        tuple(sum(w * a for w, a in zip(row, gen)) for row in torus)
-        for gen in abelian
+        tuple(sum(map(operator.mul, row, gen)) for row in torus) for gen in abelian
     ]
-    combos = torus_hilbert_basis(weight_vectors)
-    exponent_vectors = []
-    for combo in combos:
-        total = [0] * n
-        for i, mult in enumerate(combo):
-            if mult:
-                for j in range(n):
-                    total[j] += mult * abelian[i][j]
-        exponent_vectors.append(tuple(total))
-    return _monomial_set(exponent_vectors)
+    exponent_vectors = [
+        tuple(sum(m * gen[j] for m, gen in zip(combo, abelian)) for j in range(n))
+        for combo in torus_hilbert_basis(weight_vectors)
+    ]
+    return [Monomial(v) for v in _minimal_vectors(exponent_vectors)]
 
 
 def _prime_power_base(q: int) -> int | None:
@@ -307,13 +270,10 @@ def diagonal_invariants_literal(action: DiagonalAction, q: int) -> list[Monomial
             raise RootOfUnityUnavailable(
                 f"F_{q} has no root of unity of order {d} (d must divide q-1)"
             )
-    moduli = _row_moduli(action, q)
-    if not moduli:
-        return _monomial_set(
-            [tuple(1 if j == i else 0 for j in range(action.ring.n)) for i in range(action.ring.n)]
-        )
-    generators = _congruence_generators(moduli, list(action.weights), action.ring.n)
-    return _monomial_set(generators)
+    generators = _congruence_generators(
+        _row_moduli(action, q), list(action.weights), action.ring.n
+    )
+    return [Monomial(v) for v in generators]
 
 
 def reynolds_diagonal(action: DiagonalAction, f: Polynomial) -> Polynomial:

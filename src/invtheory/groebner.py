@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InhomogeneousTruncation, OrderMismatch, RingMismatch
-from .poly import Polynomial, PolynomialRing, _from_dict
+from .poly import Polynomial, PolynomialRing, _from_dict, support_mask
 from .orders import TermOrder
 
 
@@ -92,15 +92,6 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 # ---------------------------------------------------------------------------
 # internal engine
 # ---------------------------------------------------------------------------
-
-
-def _support(exp: tuple[int, ...]) -> int:
-    """Bitmask of the variables that occur in a monomial."""
-    mask = 0
-    for v, a in enumerate(exp):
-        if a:
-            mask |= 1 << v
-    return mask
 
 
 class _IncrementalGroebner:
@@ -180,7 +171,7 @@ class _IncrementalGroebner:
     # -- reduction -----------------------------------------------------------
 
     def _find_divisor(self, exp: tuple[int, ...]):
-        outside = ~_support(exp)
+        outside = ~support_mask(exp)
         for idx, mask in enumerate(self.support):
             if not mask & outside and all(map(operator.le, self.leads[idx][0], exp)):
                 return idx
@@ -281,7 +272,7 @@ class _IncrementalGroebner:
         lead = max(work, key=self._key)
         self.elements.append(work)
         self.leads.append((lead, work[lead]))
-        self.support.append(_support(lead))
+        self.support.append(support_mask(lead))
 
     def _append(self, work: dict) -> None:
         self._load(work)

@@ -148,6 +148,19 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
+def support_mask(exp: tuple[int, ...]) -> int:
+    """Bitmask of the variables that occur in an exponent vector.  A vector
+    lies componentwise below another only if its mask is a subset of the
+    other's (short exponent vectors, Bachmann & Schoenemann 1998), so the
+    mask test rejects most divisibility candidates before the exponents are
+    compared."""
+    mask = 0
+    for v, a in enumerate(exp):
+        if a:
+            mask |= 1 << v
+    return mask
+
+
 def _from_dict(ring: PolynomialRing, acc: dict) -> "Polynomial":
     is_zero = ring.field.is_zero
     items = [(e, c) for e, c in acc.items() if not is_zero(c)]

@@ -1,7 +1,10 @@
 """Tests for diagonal torus and finite abelian actions on monomials."""
 
+import contextlib
 import itertools
 import random
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from invtheory import (
     reynolds_diagonal,
     torus_hilbert_basis,
 )
+from test_acceptance import enumerate_invariant_vectors, minimal_vectors
 
 R4 = polynomial_ring(QQ, ("x_1", "x_2", "x_3", "x_4"))
 R2 = polynomial_ring(QQ, ("x_1", "x_2"))
@@ -243,3 +247,149 @@ def test_reynolds_diagonal_properties():
             assert is_invariant_exponent(TORUS_ACTION, m.exponents)
         h = R4.parse("x_1*x_2*x_3^2")
         assert reynolds_diagonal(TORUS_ACTION, f + h) == g + h
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-basis engine: edge cases, random tori, and a plain reference sieve
+# ---------------------------------------------------------------------------
+
+
+class OverBudget(Exception):
+    """Raised by the alarm when a wall budget runs out."""
+
+
+@contextlib.contextmanager
+def wall_budget(seconds):
+    """Turn a runaway computation into a failure instead of a hang, and check
+    the elapsed wall time afterwards as the acceptance tests do."""
+    def expire(signum, frame):
+        raise OverBudget
+
+    timed = hasattr(signal, "setitimer")
+    if timed:
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    except OverBudget:
+        # a fresh exception: the interrupted frames can lack a line number
+        raise AssertionError(f"over the {seconds} s wall budget") from None
+    finally:
+        if timed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start <= seconds
+
+
+def test_torus_hilbert_basis_edge_cases():
+    # no rows: every unit vector is a solution, listed in index order
+    assert torus_hilbert_basis([(), ()]) == [(1, 0), (0, 1)]
+    assert torus_hilbert_basis([]) == []
+    # a zero column is a solution by itself
+    assert torus_hilbert_basis([(0, 0), (1, -1), (-1, 1)]) == [(1, 0, 0), (0, 1, 1)]
+    # all weights non-negative and some positive: only c = 0 solves
+    assert torus_hilbert_basis([(1, 2), (3, 0), (0, 1)]) == []
+    assert torus_hilbert_basis([(3,), (-2,), (0,)]) == [(0, 0, 1), (2, 3, 0)]
+    with pytest.raises(DimensionMismatch):
+        torus_hilbert_basis([(1,), (1, 2)])
+
+
+def test_literal_over_gf2_keeps_every_variable():
+    # q - 1 = 1, so every monomial is literally invariant over F_2
+    ring = polynomial_ring(QQ, ("a", "b", "c"))
+    units = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    torus = DiagonalAction(ring, 1, [], [[1, -1, 2]])
+    assert [m.exponents for m in diagonal_invariants_literal(torus, 2)] == units
+    trivial = DiagonalAction(ring, 0, [], [])
+    assert [m.exponents for m in diagonal_invariants_literal(trivial, 2)] == units
+    assert [m.exponents for m in diagonal_invariants(trivial)] == units
+
+
+def random_tori():
+    """The 40 seeded two-row tori; draws 4, 8 and 32 blow up when the rows
+    are imposed one at a time."""
+    rng = random.Random(5)
+    draws = []
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        r = rng.randint(1, 2)
+        draws.append([[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)])
+    return draws
+
+
+def test_random_tori_finish_and_match_brute_force_oracle():
+    draws = random_tori()
+    assert draws[4] == [[-1, 4, -1, -2, -1], [2, 0, -4, 1, 2]]
+    assert draws[32] == [[-2, 3, -4, -3, 3, -1], [0, -4, -2, 2, -4, 3]]
+    with wall_budget(10):
+        bases = [torus_hilbert_basis(list(zip(*rows))) for rows in draws]
+    for rows, basis in zip(draws, bases):
+        n = len(rows[0])
+        ring = polynomial_ring(QQ, tuple(f"x_{i+1}" for i in range(n)))
+        action = DiagonalAction(ring, len(rows), [], rows)
+        bound = max((sum(c) for c in basis), default=1)
+        expect = minimal_vectors(enumerate_invariant_vectors(action, bound))
+        assert basis == expect
+
+
+def test_torus_completion_grows_only_against_the_total():
+    # many orthogonal columns: growing also where <W c, v_i> = 0 still gives
+    # the right basis, but the frontier explodes (on a 2-core Xeon VM, over
+    # 40 s instead of 0.05 s)
+    columns = [(0, -1, 0, 0), (0, -1, 0, 0), (0, -1, 0, 1), (-1, 1, 0, -1),
+               (-1, 0, 1, 1), (0, -1, 1, 0), (0, -1, 0, 1), (1, -1, -1, 1),
+               (0, 1, -1, -1)]
+    with wall_budget(5):
+        assert torus_hilbert_basis(columns) == []
+
+
+def plain_congruence_sieve(moduli, rows, n):
+    """Reference sieve: every survivor grows at every coordinate, a set merges
+    the duplicates, and domination is tested exactly against each accepted
+    vector."""
+    rows = [[w % d for w in row] for row, d in zip(rows, moduli)]
+    accepted = []
+    level = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    while level:
+        survivors = []
+        for vec in level:
+            if all(sum(w * a for w, a in zip(row, vec)) % d == 0
+                   for row, d in zip(rows, moduli)):
+                accepted.append(vec)
+            else:
+                survivors.append(vec)
+        grown = set()
+        for vec in survivors:
+            for i in range(n):
+                up = tuple(a + (j == i) for j, a in enumerate(vec))
+                if not any(all(x <= y for x, y in zip(low, up)) for low in accepted):
+                    grown.add(up)
+        level = sorted(grown)
+    return sorted(accepted, key=lambda v: (sum(v), v))
+
+
+def test_congruence_sieve_matches_plain_reference():
+    rng = random.Random(2718)
+    with wall_budget(30):
+        compare_with_plain_sieve(rng)
+
+
+def compare_with_plain_sieve(rng):
+    for q in (3, 4, 5, 7, 8, 9, 16, 25):
+        for _ in range(6):
+            n = rng.randint(1, 3 if q > 9 else 4)
+            r = rng.randint(0, 2)
+            divisors = [d for d in range(2, q) if (q - 1) % d == 0]
+            orders = [rng.choice(divisors) for _ in range(rng.randint(0, 1))]
+            if r + len(orders) == 0:
+                r = 1
+            weights = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+            weights += [[rng.randrange(d) for _ in range(n)] for d in orders]
+            ring = polynomial_ring(QQ, tuple(f"x_{i+1}" for i in range(n)))
+            action = DiagonalAction(ring, r, orders, weights)
+            got = [m.exponents for m in diagonal_invariants_literal(action, q)]
+            assert got == plain_congruence_sieve([q - 1] * r + orders, weights, n)
+            if orders:
+                got = [m.exponents for m in abelian_generators(orders, weights[r:])]
+                assert got == plain_congruence_sieve(orders, weights[r:], n)
