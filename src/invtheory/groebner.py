@@ -107,6 +107,7 @@ class _IncrementalGroebner:
         self.p = ring.field.characteristic() or None
         self.n = ring.n
         self._key_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._negkey_cache: dict[tuple[int, ...], tuple[int, ...]] = {}  # heap keys
         self.elements: list[dict] = []
         self.leads: list[tuple[tuple[int, ...], int]] = []  # (exp, coeff)
         self.support: list[int] = []  # bit v set when the lead's exponent v > 0
@@ -118,12 +119,14 @@ class _IncrementalGroebner:
     def _key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
         k = self._key_cache.get(exp)
         if k is None:
-            k = self.ring.order.key(exp)
-            self._key_cache[exp] = k
+            k = self._key_cache[exp] = self.ring.order.key(exp)
         return k
 
     def _negkey(self, exp: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-v for v in self._key(exp))
+        k = self._negkey_cache.get(exp)
+        if k is None:
+            k = self._negkey_cache[exp] = tuple(-v for v in self._key(exp))
+        return k
 
     # -- conversions ----------------------------------------------------------
 

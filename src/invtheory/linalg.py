@@ -1,11 +1,15 @@
 """Exact dense linear algebra over a coefficient field.
 
-Matrices are lists (or tuples) of rows of field scalars.  Everything here is
-plain Gaussian elimination; determinism comes from always picking the first
-usable pivot row.
+Matrices are lists (or tuples) of rows of field scalars.  `rank`, `rref` and
+`nullspace` read one incremental `Echelon`; `det` is plain Gaussian
+elimination.  Reduced echelon forms are unique, so results are canonical.
 """
 
 from __future__ import annotations
+
+import bisect
+import math
+from fractions import Fraction
 
 from .fields import Field
 
@@ -34,63 +38,77 @@ def mat_mul(a, b, field: Field):
     return tuple(out)
 
 
+class Echelon:
+    """Fraction-free row echelon form of a growing list of rows: int rows,
+    over Q cleared of denominators once and kept content-free, over F_p mod p."""
+
+    def __init__(self, field: Field, rows=()):
+        self.field, self.p = field, field.p
+        self.pivots: list[int] = []  # ascending
+        self.rows: dict[int, list[int]] = {}  # pivot column -> row, zero before it
+        for row in rows:
+            self.add_row(row)
+
+    def _eliminate(self, work: list[int], col: int, pivot_row: list[int]) -> list[int]:
+        g = math.gcd(pivot_row[col], work[col])
+        a, b = pivot_row[col] // g, work[col] // g
+        if self.p is not None:
+            return [(a * x - b * y) % self.p for x, y in zip(work, pivot_row)]
+        work = [a * x - b * y for x, y in zip(work, pivot_row)]
+        g = math.gcd(*work)
+        return [x // g for x in work] if g > 1 else work
+
+    def add_row(self, row) -> bool:
+        """Reduce row by the pivot rows and keep it if it is independent;
+        returns whether the rank grew."""
+        if len(self.pivots) == len(row):
+            return False
+        den = math.lcm(*(v.denominator for v in row))  # 1 over F_p
+        work = [v.numerator * (den // v.denominator) for v in row]
+        for col in self.pivots:
+            if work[col]:
+                work = self._eliminate(work, col, self.rows[col])
+        lead = next((j for j, v in enumerate(work) if v), None)
+        if lead is not None:
+            bisect.insort(self.pivots, lead)
+            self.rows[lead] = work
+        return lead is not None
+
+    def rref(self):
+        """(rows, pivot columns) of the reduced row echelon form.  Back-
+        substitutes the pivot rows in place, last first: they stay an echelon."""
+        rows, zero = self.rows, self.field.zero()
+        for i, col in reversed(list(enumerate(self.pivots))):
+            for later in self.pivots[i + 1:]:
+                if rows[col][later]:
+                    rows[col] = self._eliminate(rows[col], later, rows[later])
+        scale = self.field.from_pair
+        return [[scale(x, rows[c][c]) if x else zero for x in rows[c]]
+                for c in self.pivots], list(self.pivots)
+
+
 def rref(rows, field: Field):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if not field.is_zero(mat[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.inv(mat[r][col])
-        if inv != field.one():
-            mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not field.is_zero(mat[i][col]):
-                factor = mat[i][col]
-                mat[i] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(mat[i], mat[r])
-                ]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    """Reduced row echelon form; returns (rows, pivot column list), the
+    pivot rows first and then one zero row per dependent input row."""
+    reduced, pivots = Echelon(field, rows).rref()
+    return reduced + [[field.zero()] * len(row) for row in rows[len(pivots):]], pivots
 
 
 def rank(rows, field: Field) -> int:
-    return len(rref(rows, field)[1])
+    return len(Echelon(field, rows).pivots)
 
 
 def nullspace(rows, ncols: int, field: Field):
     """Kernel basis of the matrix, rows in reduced echelon form."""
     reduced, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    zero = field.zero()
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            value = reduced[r][fc]
-            if not field.is_zero(value):
-                vec[pc] = field.neg(value)
-        basis.append(vec)
-    if not basis:
-        return []
-    canonical, _ = rref(basis, field)
-    return [tuple(row) for row in canonical if any(not field.is_zero(v) for v in row)]
+    where = {col: r for r, col in enumerate(pivots)}
+    one, zero = field.one(), field.zero()
+    basis = [
+        [field.neg(reduced[where[c]][fc]) if c in where else one if c == fc else zero
+         for c in range(ncols)]
+        for fc in range(ncols) if fc not in where
+    ]
+    return [tuple(row) for row in rref(basis, field)[0]]
 
 
 def det(rows, field: Field):

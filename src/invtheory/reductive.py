@@ -185,15 +185,14 @@ def reductive_invariant_basis(action: LinearlyReductiveAction, degree: int) -> l
     for col, mono in enumerate(monos):
         shifted = combined.monomial((0,) * m + mono.exponents)
         moved = substitute(tring.monomial(mono.exponents), images) - shifted
-        # rows sorted by x-part first: rref does fewer row updates that way
         for exp, coeff in normal_form(moved, group_basis).terms:
-            rows_map.setdefault((exp[m:], exp[:m]), {})[col] = coeff
+            rows_map.setdefault(exp, {})[col] = coeff
+    # One row per surviving term, in the order met (the kernel does not depend
+    # on it); duplicates are dropped while sparse, hashing only nonzero entries.
     zero = tring.field.zero()
     width = len(monos)
-    rows = list(dict.fromkeys(
-        tuple(rows_map[key].get(col, zero) for col in range(width))
-        for key in sorted(rows_map)
-    ))
+    rows = [tuple(row.get(col, zero) for col in range(width)) for row in
+            map(dict, dict.fromkeys(tuple(r.items()) for r in rows_map.values()))]
     kernel = nullspace(rows, width, tring.field)
     basis = []
     for vec in kernel:

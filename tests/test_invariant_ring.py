@@ -1,6 +1,7 @@
 """Tests for the RingOfInvariants container: dispatch, presentations, series, verification."""
 
 import pytest
+from test_diagonal import wall_budget
 
 from invtheory import (
     DiagonalAction,
@@ -157,6 +158,17 @@ def test_verify_generators_trivial_and_diagonal_and_reductive():
     assert all(c.passed for c in verify_generators(invariant_ring(TORUS), 6))
     assert all(c.passed for c in verify_generators(invariant_ring(TORUS, literal_q=9), 8))
     assert all(c.passed for c in verify_generators(invariant_ring(SL2), 4))
+
+
+def test_verify_generators_c5_degree_7_within_budget():
+    # degree 7 ranks 84 generator products over the 330 monomials of Q[x1..x5]
+    ring = polynomial_ring(QQ, ("x1", "x2", "x3", "x4", "x5"))
+    inv = invariant_ring(FiniteGroupAction(ring, [permutation_matrix("23451")]))
+    with wall_budget(4):
+        checks = verify_generators(inv, 7)
+    assert [c.degree for c in checks] == list(range(1, 8))
+    assert all(c.passed for c in checks)
+    assert (checks[-1].expected, checks[-1].actual) == (66, 66)
 
 
 def test_container_iteration_and_length():

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from invtheory import QQ, DivisorNotInvertible, TermOrder, prime_field
-from invtheory.linalg import det, identity, is_invertible, mat_mul, nullspace, rank, rref
+from invtheory.linalg import (
+    Echelon, det, identity, is_invertible, mat_mul, nullspace, rank, rref,
+)
 
 
 def test_rationals_descriptor():
@@ -139,3 +141,115 @@ def test_nullspace_vectors_annihilate_random_matrices():
                     for c, v in zip(row, vec):
                         acc = field.add(acc, field.mul(c, v))
                     assert field.is_zero(acc)
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free echelon against a plain Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+FIELDS = [QQ, prime_field(2), prime_field(3), prime_field(7), prime_field(32003)]
+
+SHAPES = [(0, 0), (0, 3), (1, 1), (1, 7), (4, 1), (3, 3), (6, 6),
+          (8, 3), (12, 5), (3, 8), (5, 12)]
+
+
+def reference_rref(rows, field):
+    """Textbook Gauss-Jordan on field scalars (Fractions over Q): the first
+    usable pivot row, scaled to 1, clears its column above and below."""
+    mat = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        found = [i for i in range(r, len(mat)) if not field.is_zero(mat[i][col])]
+        if not found:
+            continue
+        mat[r], mat[found[0]] = mat[found[0]], mat[r]
+        inv = field.inv(mat[r][col])
+        mat[r] = [field.mul(inv, v) for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not field.is_zero(mat[i][col]):
+                factor = mat[i][col]
+                mat[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def reference_nullspace(rows, ncols, field):
+    reduced, pivots = reference_rref(rows, field)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero()] * ncols
+        vec[free] = field.one()
+        for r, col in enumerate(pivots):
+            vec[col] = field.neg(reduced[r][free])
+        basis.append(vec)
+    return [tuple(row) for row in reference_rref(basis, field)[0]]
+
+
+def random_matrix(rng, field, nrows, ncols):
+    """Rows that are zero, duplicates, combinations of earlier rows (so the
+    matrix is often rank-deficient) or sparse random; over Q the entries have
+    denominators up to 6."""
+    def scalar():
+        if rng.random() < 0.4:
+            return field.zero()
+        if field.is_rationals:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        return rng.randrange(field.p)
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [field.zero()] * ncols
+        elif kind < 0.3 and rows:
+            row = list(rng.choice(rows))
+        elif kind < 0.55 and rows:
+            a, b, c, d = rng.choice(rows), rng.choice(rows), scalar(), scalar()
+            row = [field.add(field.mul(c, x), field.mul(d, y)) for x, y in zip(a, b)]
+        else:
+            row = [scalar() for _ in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rref_rank_nullspace_match_gauss_jordan_reference(field):
+    rng = random.Random(20261018 + field.characteristic())
+    scalar_type = type(field.zero())
+    for nrows, ncols in SHAPES:
+        for _ in range(12):
+            rows = random_matrix(rng, field, nrows, ncols)
+            expected = reference_rref(rows, field)
+            reduced, pivots = rref(rows, field)
+            assert (reduced, pivots) == expected
+            assert all(type(row) is list for row in reduced)
+            assert all(type(v) is scalar_type for row in reduced for v in row)
+            assert rank(rows, field) == len(expected[1])
+            assert nullspace(rows, ncols, field) == reference_nullspace(rows, ncols, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_echelon_add_row_reports_rank_growth(field):
+    rng = random.Random(7 + field.characteristic())
+    for nrows, ncols in SHAPES:
+        rows = random_matrix(rng, field, nrows, ncols)
+        echelon = Echelon(field)
+        before = 0
+        for i, row in enumerate(rows):
+            after = len(reference_rref(rows[: i + 1], field)[1])
+            assert echelon.add_row(row) == (after > before)
+            before = after
+            if i == nrows // 2:
+                echelon.rref()  # back-substitutes in place; rows can still be added
+        reduced, pivots = reference_rref(rows, field)
+        assert echelon.rref() == (reduced[: len(pivots)], pivots)
+
+
+def test_echelon_add_row_known_flags():
+    echelon = Echelon(QQ)
+    rows = [(0, 0, 0), (1, 2, 3), (2, 4, 6), (0, 1, Fraction(1, 2)),
+            (1, 3, Fraction(7, 2)), (0, 0, 5), (1, 1, 1)]
+    flags = [echelon.add_row([Fraction(v) for v in row]) for row in rows]
+    assert flags == [False, True, False, True, False, True, False]
+    assert echelon.pivots == [0, 1, 2]
