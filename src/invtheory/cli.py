@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .diagonal import DiagonalAction
+from .diagonal import DiagonalAction, is_prime_power
 from .errors import InvariantTheoryError
 from .fields import Field, QQ, prime_field
 from .finite import FiniteGroupAction, molien_series, permutation_matrix
@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
                 help="literal invariance over F_q for diagonal actions "
                 "(q from the literalQ field)",
             )
-        if name in ("invariants", "defining-ideal", "verify", "hilbert-ideal"):
             cmd.add_argument(
                 "--max-degree", type=int, default=None,
                 help="degree cap (finite actions; verify report depth, "
@@ -179,9 +178,9 @@ def _load_action(data: dict):
         if not isinstance(r, int) or r < 0:
             _fail("action.torusRank", "expected a non-negative integer")
         if not isinstance(orders, list) or not all(
-            isinstance(d, int) and d >= 1 for d in orders
+            isinstance(d, int) and d >= 2 for d in orders
         ):
-            _fail("action.cyclicOrders", "expected a list of positive integers")
+            _fail("action.cyclicOrders", "expected a list of integers >= 2")
         if not isinstance(weights, list) or not all(
             isinstance(row, list) and all(isinstance(w, int) for w in row)
             for row in weights
@@ -189,7 +188,7 @@ def _load_action(data: dict):
             _fail("action.weights", "expected a matrix of integers")
         literal_q = spec.get("literalQ")
         if literal_q is not None and (
-            not isinstance(literal_q, int) or literal_q < 2
+            not isinstance(literal_q, int) or not is_prime_power(literal_q)
         ):
             _fail("action.literalQ", "expected a prime power >= 2")
         try:

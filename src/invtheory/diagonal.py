@@ -7,10 +7,16 @@ x^a is invariant iff W a vanishes on the torus rows and vanishes mod d_i on
 the cyclic rows, so everything here is integer combinatorics on exponent
 vectors; the invariant ring is generated by monomials and the minimal
 generating set is unique.
+
+Two solvers compute it.  A degree-graded congruence sieve handles actions
+with no torus, and literal GF(q) mode, where the torus rows become
+congruences mod q-1.  Every other action is one Contejean-Devie completion
+in which each cyclic row is an equation in a slack variable of its own.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .errors import DimensionMismatch, RingMismatch, RootOfUnityUnavailable
@@ -101,15 +107,6 @@ def _dominates(vec: tuple[int, ...], found) -> bool:
         if not mask & outside and all(map(operator.le, low, vec)):
             return True
     return False
-
-
-def _minimal_vectors(vectors) -> list[tuple[int, ...]]:
-    """Componentwise-minimal elements of a set of vectors in N^k."""
-    kept: list = []
-    for vec in sorted(set(vectors), key=_by_degree):
-        if not _dominates(vec, kept):
-            kept.append((support_mask(vec), vec))
-    return [vec for _, vec in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -217,53 +214,54 @@ def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# full pipeline
+# full actions
 # ---------------------------------------------------------------------------
 
 
 def diagonal_invariants(action: DiagonalAction) -> list[Monomial]:
     """Minimal monomial generators of the invariant ring of the action.
 
-    The finite abelian part is handled by the congruence sieve, the torus
-    part by a Hilbert basis over the abelian generators, and the combined
-    set gets a final irreducibility pass.
+    With no torus the congruence sieve answers directly.  Otherwise one
+    Hilbert basis is taken over n + s columns: the torus rows padded with s
+    zeros, and each cyclic row j of order d_j rewritten as the equation
+    (w mod d_j) . a - d_j s_j = 0 in a slack s_j of its own (Sturmfels,
+    Algorithms in Invariant Theory, 1.4).  For an invariant a each
+    s_j = (w mod d_j) . a / d_j is a unique non-negative integer, so
+    a -> (a, s) is a monoid isomorphism from the invariant exponents onto
+    the solutions; it maps minimal generators exactly onto the Hilbert
+    basis, and dropping the slack coordinates gives the answer.
     """
     n = action.ring.n
-    abelian = _congruence_generators(
-        list(action.cyclic_orders), list(action.cyclic_rows()), n
-    )
+    orders = action.cyclic_orders
     if action.torus_rank == 0:
-        return [Monomial(v) for v in abelian]
-    torus = action.torus_rows()
-    weight_vectors = [
-        tuple(sum(map(operator.mul, row, gen)) for row in torus) for gen in abelian
+        generators = _congruence_generators(list(orders), list(action.cyclic_rows()), n)
+        return [Monomial(v) for v in generators]
+    s = len(orders)
+    zeros = (0,) * s
+    rows = [row + zeros for row in action.torus_rows()]
+    rows += [
+        tuple(w % d for w in row) + zeros[:j] + (-d,) + zeros[j + 1:]
+        for j, (row, d) in enumerate(zip(action.cyclic_rows(), orders))
     ]
-    exponent_vectors = [
-        tuple(sum(m * gen[j] for m, gen in zip(combo, abelian)) for j in range(n))
-        for combo in torus_hilbert_basis(weight_vectors)
-    ]
-    return [Monomial(v) for v in _minimal_vectors(exponent_vectors)]
+    basis = torus_hilbert_basis(list(zip(*rows)))
+    return [Monomial(v) for v in sorted((c[:n] for c in basis), key=_by_degree)]
 
 
-def _prime_power_base(q: int) -> int | None:
+def is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p and some k >= 1."""
     if q < 2:
-        return None
-    d = 2
-    value = q
-    while d * d <= value:
-        if value % d == 0:
-            while value % d == 0:
-                value //= d
-            return d if value == 1 else None
-        d += 1
-    return q
+        return False
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def diagonal_invariants_literal(action: DiagonalAction, q: int) -> list[Monomial]:
     """Generators of the literal invariants over the field with q elements:
     torus rows become congruences mod q-1 (the multiplicative group order),
     cyclic rows keep their own moduli, which must divide q-1."""
-    if _prime_power_base(q) is None:
+    if not is_prime_power(q):
         raise ValueError(f"q = {q} is not a prime power")
     for d in action.cyclic_orders:
         if (q - 1) % d != 0:

@@ -103,9 +103,6 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def to_str(self, a) -> str:
-        return str(a)
-
     def __str__(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
 

@@ -22,18 +22,18 @@ def identity(n: int, field: Field):
 
 
 def mat_mul(a, b, field: Field):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
+    """a b, adding for each nonzero entry a[i][t] the nonzero entries of row
+    b[t] times a[i][t]: a product of permutation matrices takes n
+    multiplications and n^2 zero tests."""
+    m = len(b[0]) if b else 0
     out = []
-    for i in range(n):
-        row_a = a[i]
-        row = []
-        for j in range(m):
-            total = field.zero()
-            for t in range(k):
-                if not field.is_zero(row_a[t]):
-                    total = field.add(total, field.mul(row_a[t], b[t][j]))
-            row.append(total)
+    for row_a in a:
+        row = [field.zero()] * m
+        for x, row_b in zip(row_a, b):
+            if not field.is_zero(x):
+                for j, y in enumerate(row_b):
+                    if not field.is_zero(y):
+                        row[j] = field.add(row[j], field.mul(x, y))
         out.append(tuple(row))
     return tuple(out)
 

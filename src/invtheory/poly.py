@@ -389,10 +389,6 @@ def substitute(f: Polynomial, images: list[Polynomial]) -> Polynomial:
 # -- printing ------------------------------------------------------------------
 
 
-def format_scalar(field: Field, c) -> str:
-    return field.to_str(c)
-
-
 def _format_power(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
@@ -401,14 +397,13 @@ def format_polynomial(f: Polynomial) -> str:
     """Canonical text form; `parse` returns the same polynomial back."""
     if not f.terms:
         return "0"
-    field = f.ring.field
     names = f.ring.names
     pieces: list[str] = []
     for exp, coeff in f.terms:
         powers = "*".join(
             _format_power(names[i], e) for i, e in enumerate(exp) if e
         )
-        text = format_scalar(field, coeff)
+        text = str(coeff)
         negative = text.startswith("-")
         if negative:
             text = text[1:]

@@ -182,6 +182,20 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_diagonal_orders_and_literal_q_are_checked_on_input(tmp_path, capsys):
+    trivial_order = dict(TORUS_DOC, action=dict(
+        TORUS_DOC["action"], torusRank=2, cyclicOrders=[1],
+        weights=[[5, -3, -1, 4], [-3, 1, 1, 5], [1, 1, 1, 1]]))
+    code, _, err = run(capsys, ["invariants", write(tmp_path, trivial_order)])
+    assert code == 1
+    assert err.startswith("error: action.cyclicOrders: ")
+
+    not_prime_power = dict(TORUS_DOC, action=dict(TORUS_DOC["action"], literalQ=12))
+    code, _, err = run(capsys, ["invariants", write(tmp_path, not_prime_power), "--literal"])
+    assert code == 1
+    assert err.startswith("error: action.literalQ: ")
+
+
 def test_domain_errors_exit_two(tmp_path, capsys):
     modular = {
         "field": {"type": "Fp", "p": 2},

@@ -393,3 +393,39 @@ def compare_with_plain_sieve(rng):
             if orders:
                 got = [m.exponents for m in abelian_generators(orders, weights[r:])]
                 assert got == plain_congruence_sieve(orders, weights[r:], n)
+
+
+def mixed_action(torus, orders, cyclic):
+    n = len(torus[0])
+    ring = polynomial_ring(QQ, tuple(f"x_{i+1}" for i in range(n)))
+    return DiagonalAction(ring, len(torus), orders, torus + cyclic)
+
+
+def assert_matches_brute_force_oracle(action, got):
+    bound = max((sum(v) for v in got), default=1)
+    assert got == minimal_vectors(enumerate_invariant_vectors(action, bound))
+
+
+def test_mixed_action_with_many_abelian_generators():
+    # Z4 alone has 15 generators here; a torus completion over them blows up
+    # although the invariant ring is generated by one monomial
+    action = mixed_action([[0, -3, 2], [-1, 1, 2]], [4], [[3, 3, 3]])
+    with wall_budget(1):
+        got = [m.exponents for m in diagonal_invariants(action)]
+    assert got == [(32, 8, 12)]
+    assert_matches_brute_force_oracle(action, got)
+
+
+def test_mixed_actions_with_two_cyclic_factors():
+    # on a 2-core Xeon VM these take 2-3 s and 1 s; a torus completion over
+    # the abelian generators does not finish either in 30 s
+    draws = [
+        ([[-1, -2, -2, 3], [1, 2, 0, -2]], [5, 3], [[1, 4, 4, 1], [1, 1, 0, 0]]),
+        ([[-1, -1, 2, 0], [3, -2, 3, 3]], [6, 3], [[2, 3, 5, 4], [2, 2, 1, 0]]),
+    ]
+    actions = [mixed_action(*draw) for draw in draws]
+    with wall_budget(20):
+        results = [[m.exponents for m in diagonal_invariants(a)] for a in actions]
+    assert results[1] == [(3, 27, 15, 0), (0, 36, 18, 6)]
+    for action, got in zip(actions, results):
+        assert_matches_brute_force_oracle(action, got)
