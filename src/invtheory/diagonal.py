@@ -168,13 +168,12 @@ def abelian_generators(cyclic_orders, cyclic_weights) -> list[Monomial]:
 def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
     """Hilbert basis of {c in N^k : sum c_j v_j = 0} for integer vectors v_j.
 
-    Contejean-Devie completion over all rows at once (Inf. Comput. 1994):
-    starting from the unit vectors, c grows by e_i only when the running
-    total W c points against v_i, <W c, v_i> < 0; anything lying above an
-    accepted solution is dropped, and a vector whose total is zero is
-    accepted.  Below any minimal solution s, a partial c has
-    <W c, W (s - c)> = -|W c|^2 < 0, so some such step stays below s and the
-    sweep is complete; Contejean and Devie show that it terminates.
+    Coordinates that are 0 in every solution are set aside first: when a
+    row's entries over the remaining columns all have one sign, the terms
+    c_j v_j of that row share the sign too (c >= 0), so each must vanish and
+    every column where the row is nonzero goes.  This repeats until no row
+    removes a column; the remaining columns are solved by `_completion` and
+    the zeros put back.
     """
     vectors = [tuple(int(w) for w in v) for v in weight_vectors]
     k = len(vectors)
@@ -183,12 +182,39 @@ def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
     r = len(vectors[0])
     if any(len(v) != r for v in vectors):
         raise DimensionMismatch("weight vectors differ in length")
-    units = _units(k)
     if r == 0:
-        return units  # every unit solves; kept in index order, not sorted
+        return _units(k)  # every unit solves; kept in index order, not sorted
+    live = list(range(k))
+    pruned = True
+    while pruned:
+        pruned = False
+        for row in range(r):
+            entries = [vectors[j][row] for j in live]
+            if min(entries, default=0) >= 0 or max(entries, default=0) <= 0:
+                kept = [j for j in live if not vectors[j][row]]
+                pruned = pruned or len(kept) < len(live)
+                live = kept
+    basis = []
+    for solution in _completion([vectors[j] for j in live]):
+        full = [0] * k
+        for j, a in zip(live, solution):
+            full[j] = a
+        basis.append(tuple(full))
+    return sorted(basis, key=_by_degree)
+
+
+def _completion(vectors) -> list[tuple[int, ...]]:
+    """Contejean-Devie completion over all rows at once (Inf. Comput. 1994):
+    starting from the unit vectors, c grows by e_i only when the running
+    total W c points against v_i, <W c, v_i> < 0; anything lying above an
+    accepted solution is dropped, and a vector whose total is zero is
+    accepted.  Below any minimal solution s, a partial c has
+    <W c, W (s - c)> = -|W c|^2 < 0, so some such step stays below s and the
+    sweep is complete; Contejean and Devie show that it terminates.
+    """
     solutions: list = []
     frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for unit, v in zip(units, vectors):
+    for unit, v in zip(_units(len(vectors)), vectors):
         if any(v):
             frontier[unit] = v
         else:
@@ -210,7 +236,7 @@ def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
                     fresh.add(grown)
         solutions.extend((support_mask(vec), vec) for vec in fresh)
         frontier = grown_level
-    return sorted((vec for _, vec in solutions), key=_by_degree)
+    return [vec for _, vec in solutions]
 
 
 # ---------------------------------------------------------------------------

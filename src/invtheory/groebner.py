@@ -2,10 +2,16 @@
 elimination ideals, and the degree sweep that invariant generators are
 built with.
 
-Pair selection follows the normal strategy (smallest lcm degree, ties broken
-by term order then input index), with Buchberger's coprime-lead and chain
-criteria.  Each lead carries a support bitmask, so a pair with coprime leads
-is dropped when it is created and most divisibility tests are a mask test.
+Pair selection follows the sugar strategy (Giovini, Mora, Niesi, Robbiano
+and Traverso, ISSAC 1991): each element carries a sugar, the degree it would
+have if the input were homogenized, and the pair of least sugar goes first,
+ties broken by term order then input index.  For homogeneous input the sugar
+of a pair is its lcm degree, so this is the normal strategy there; on
+inhomogeneous input, such as graph ideals u_i - f_i, it avoids the many
+S-pairs the normal strategy reduces to zero.  Buchberger's coprime-lead and
+chain criteria drop pairs.  Each lead carries a support bitmask, so a pair
+with coprime leads is dropped when it is created and most divisibility
+tests are a mask test.
 One reducer serves everything: over Q it is integer pseudo-reduction with
 content stripping, and `normal_form` divides the scale it reports back out.
 Bases are converted back to monic polynomials at the end, so the published
@@ -111,7 +117,9 @@ class _IncrementalGroebner:
         self.elements: list[dict] = []
         self.leads: list[tuple[tuple[int, ...], int]] = []  # (exp, coeff)
         self.support: list[int] = []  # bit v set when the lead's exponent v > 0
-        self.heap: list = []   # (lcm degree, key(lcm), i, j, lcm)
+        # sugar minus the lead's degree; 0 for homogeneous input
+        self.excess: list[int] = []
+        self.heap: list = []   # (sugar, key(lcm), i, j, lcm)
         self.pending: set[tuple[int, int]] = set()
 
     # -- keys --------------------------------------------------------------
@@ -256,8 +264,12 @@ class _IncrementalGroebner:
         return self._find_divisor(exp) is not None
 
     def _push_pairs(self, new_index: int) -> None:
+        """Queue the pairs (i, new_index).  The sugar of a pair is
+        max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j),
+        that is deg lcm plus the larger excess."""
         lead_new = self.leads[new_index][0]
         mask_new = self.support[new_index]
+        excess_new = self.excess[new_index]
         for i in range(new_index):
             if not self.support[i] & mask_new:
                 continue  # coprime leads: the S-polynomial reduces to zero
@@ -265,20 +277,21 @@ class _IncrementalGroebner:
             lcm = tuple(map(max, lead_i, lead_new))
             pair = (i, new_index)
             self.pending.add(pair)
-            heapq.heappush(
-                self.heap, (sum(lcm), self._key(lcm), i, new_index, lcm)
-            )
+            sugar = sum(lcm) + max(self.excess[i], excess_new)
+            heapq.heappush(self.heap, (sugar, self._key(lcm), i, new_index, lcm))
 
-    def _load(self, work: dict) -> None:
-        """Append a nonzero element as a divisor, queuing no pairs."""
+    def _load(self, work: dict, sugar: int | None = None) -> None:
+        """Append a nonzero element as a divisor, queuing no pairs.  Without
+        a sugar, the lead's degree stands in for it."""
         work = self._normalize(work)
         lead = max(work, key=self._key)
         self.elements.append(work)
         self.leads.append((lead, work[lead]))
         self.support.append(support_mask(lead))
+        self.excess.append(0 if sugar is None else sugar - sum(lead))
 
-    def _append(self, work: dict) -> None:
-        self._load(work)
+    def _append(self, work: dict, sugar: int) -> None:
+        self._load(work, sugar)
         self._push_pairs(len(self.elements) - 1)
 
     def add_generator(self, f: Polynomial) -> bool:
@@ -289,7 +302,7 @@ class _IncrementalGroebner:
             return False
         reduced = self.reduce(self._to_internal(f))
         if reduced:
-            self._append(reduced)
+            self._append(reduced, f.degree())
         return bool(reduced)
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
@@ -317,11 +330,11 @@ class _IncrementalGroebner:
         return {e: c % self.p for e, c in out.items() if c % self.p}
 
     def process_to(self, bound: int | None) -> None:
-        """Handle all queued S-pairs with lcm degree <= bound (all of them
-        when bound is None)."""
+        """Handle all queued S-pairs with sugar <= bound (all of them when
+        bound is None); a reduced S-polynomial keeps its pair's sugar."""
         while self.heap:
-            deg, _, i, j, lcm = self.heap[0]
-            if bound is not None and deg > bound:
+            sugar, _, i, j, lcm = self.heap[0]
+            if bound is not None and sugar > bound:
                 break
             heapq.heappop(self.heap)
             pair = (i, j)
@@ -332,7 +345,7 @@ class _IncrementalGroebner:
                 continue
             reduced = self.reduce(self._spoly(i, j, lcm))
             if reduced:
-                self._append(reduced)
+                self._append(reduced, sugar)
 
     def _chain_skip(self, i: int, j: int, lcm: tuple[int, ...]) -> bool:
         """Buchberger's chain criterion: some other lead divides the lcm and
@@ -387,8 +400,9 @@ def degree_sweep(ring: PolynomialRing, degrees, candidates, complete):
     """Keep, degree by degree, the homogeneous candidates that are new modulo
     the ideal of those kept before them.
 
-    For each d in ``degrees``, S-pairs up to degree d are handled, and each
-    of ``candidates(engine, d)`` is kept when its normal form is nonzero.  A
+    For each d in ``degrees``, S-pairs up to degree d are handled (on
+    homogeneous candidates a pair's sugar is its lcm degree), and each of
+    ``candidates(engine, d)`` is kept when its normal form is nonzero.  A
     kept candidate adds only pairs above degree d, since no earlier lead
     divides its lead.  Once something is kept, ``complete(engine, d)`` says
     after each degree whether nothing new exists above d, which stops the

@@ -147,6 +147,8 @@ def hilbert_series_rewrite(inv: RingOfInvariants, degrees) -> UniPoly:
     series = molien_series(inv.action)
     numerator = series.num
     for d in degrees:
+        if isinstance(d, bool) or int(d) != d:
+            raise ValueError(f"degrees must be integers, got {d!r}")
         d = int(d)
         if d < 1:
             raise ValueError("degrees must be positive")
@@ -168,21 +170,27 @@ def _expected_dimension(inv: RingOfInvariants, degree: int) -> int:
     return len(reductive_invariant_basis(action, degree))
 
 
-def _spanned_dimension(inv: RingOfInvariants, degree: int) -> int:
+def _generator_products(inv: RingOfInvariants, max_degree: int):
+    """For each degree 1..max_degree, every product of generators of that
+    degree.  A product is one generator times a product of lower degree
+    whose generators all come later in degree order, so each product is one
+    multiplication and no degree starts again from 1."""
     gens = sorted(inv.generators, key=lambda f: f.degree())
-    products: list[Polynomial] = []
-
-    def extend(start: int, current: Polynomial, remaining: int) -> None:
-        if remaining == 0:
-            products.append(current)
-            return
-        for j in range(start, len(gens)):
-            d = gens[j].degree()
-            if d > remaining:
+    degrees = [f.degree() for f in gens]
+    # per degree: (index of the product's first generator, product); the empty
+    # product may be extended by every generator
+    levels = [[(len(gens), inv.ring.one())]]
+    for degree in range(1, max_degree + 1):
+        level = []
+        for j, (g, d) in enumerate(zip(gens, degrees)):
+            if d > degree:
                 break
-            extend(j, current * gens[j], remaining - d)
+            level.extend((j, g * rest) for first, rest in levels[degree - d] if first >= j)
+        levels.append(level)
+        yield [product for _, product in level]
 
-    extend(0, inv.ring.one(), degree)
+
+def _spanned_dimension(inv: RingOfInvariants, degree: int, products) -> int:
     if not products:
         return 0
     monos = inv.ring.monomial_basis(degree)
@@ -201,8 +209,8 @@ def verify_generators(inv: RingOfInvariants, max_degree: int) -> list[DegreeChec
     """Per-degree comparison of the dimension spanned by generator products
     against an independently computed invariant-space dimension."""
     report = []
-    for degree in range(1, max_degree + 1):
+    for degree, products in enumerate(_generator_products(inv, max_degree), 1):
         expected = _expected_dimension(inv, degree)
-        actual = _spanned_dimension(inv, degree)
+        actual = _spanned_dimension(inv, degree, products)
         report.append(DegreeCheck(degree, expected, actual, expected == actual))
     return report

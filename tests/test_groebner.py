@@ -276,6 +276,36 @@ def test_coprime_pairs_are_never_queued():
     assert [entry[2:4] for entry in engine.heap] == [(1, 2)]
 
 
+def test_pairs_are_queued_by_sugar():
+    from invtheory.groebner import _IncrementalGroebner
+
+    # homogeneous input: a pair's sugar is its lcm degree, before and after
+    # the pairs up to degree 4 are handled
+    ring = polynomial_ring(QQ, ("x", "y", "z", "w"))
+    engine = _IncrementalGroebner(ring)
+    for text in ("x^2-y*w", "x*y-z^2", "y^2*z-w^3", "x*z*w-y^3"):
+        engine.add_generator(ring.parse(text))
+    assert [entry[0] for entry in engine.heap] == [sum(entry[4]) for entry in engine.heap]
+    engine.process_to(4)
+    assert engine.heap
+    assert [entry[0] for entry in engine.heap] == [sum(entry[4]) for entry in engine.heap]
+
+    # inhomogeneous input: the pair (i, j) has sugar
+    # max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j)
+    lex = polynomial_ring(QQ, ("x", "y", "z"), order=TermOrder.lex())
+    engine = _IncrementalGroebner(lex)
+    engine.add_generator(lex.parse("x*y-z^5"))  # sugar 5, lead x*y
+    engine.add_generator(lex.parse("x*z-y"))  # sugar 2, lead x*z
+    # lcm x*y*z: max(5 + 3 - 2, 2 + 3 - 2) = 6, where the lcm degree is 3
+    assert [(entry[0],) + entry[2:] for entry in engine.heap] == [(6, 0, 1, (1, 1, 1))]
+    engine.process_to(6)
+    # the S-polynomial y^2 - z^6 keeps its pair's sugar 6, though its lead
+    # has degree 2, so its pair with x*y - z^5 (lcm x*y^2) gets
+    # max(5 + 3 - 2, 6 + 3 - 2) = 7
+    assert engine.leads[2] == ((0, 2, 0), 1)
+    assert [(entry[0],) + entry[2:] for entry in engine.heap] == [(7, 0, 2, (1, 2, 0))]
+
+
 def test_engine_normal_forms_have_no_divisible_term():
     from invtheory.groebner import _IncrementalGroebner
 
@@ -445,3 +475,56 @@ def test_elimination_ideal_matches_sympy(p):
         expected = sympy_groebner(free, tail, "grevlex")
         got = elimination_ideal(polys, ["x"])
         assert strings(f.monic() for f in got) == strings(expected)
+
+
+def random_graph_ideal(field, rng, params, count):
+    """The graph ideal of ``count`` random inhomogeneous polynomials f_i of
+    degree at most 2 in ``params``: u_i - f_i in a ring with the parameters
+    first, under the elimination order for them."""
+    source = polynomial_ring(field, params)
+    ring = polynomial_ring(field, params + tuple(f"u{i}" for i in range(count)),
+                           order=TermOrder.elimination(len(params)))
+    polys = []
+    for i in range(count):
+        f = source.zero()
+        while f.is_homogeneous():
+            f = random_polynomial(source, rng, max_terms=3, max_degree=2)
+        image = ring.from_terms({e + (0,) * count: c for e, c in f.terms})
+        polys.append(ring.variable(len(params) + i) - image)
+    return polys
+
+
+def parameter_free(basis, params, field):
+    """The elements of ``basis`` free of the parameters, in the u-ring."""
+    k = len(params)
+    tail = polynomial_ring(field, basis[0].ring.names[k:])
+    return [tail.from_terms({e[k:]: c for e, c in g.terms})
+            for g in basis if all(not any(e[:k]) for e, _ in g.terms)]
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_elimination_of_graph_ideals_matches_criterion_free_reference(p):
+    # one parameter keeps the criterion-free reference fast; with two it
+    # takes over a minute on some draws
+    field = QQ if p is None else prime_field(p)
+    rng = random.Random(f"graph/reference/{p}")
+    for _ in range(8):
+        polys = random_graph_ideal(field, rng, ("t",), rng.randrange(2, 4))
+        expected = parameter_free(reference_buchberger(polys), ("t",), field)
+        assert expected
+        assert strings(elimination_ideal(polys, ["t"])) == strings(expected)
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_elimination_of_graph_ideals_matches_sympy(p):
+    pytest.importorskip("sympy")
+    field = QQ if p is None else prime_field(p)
+    params = ("s", "t")
+    rng = random.Random(f"graph/sympy/{p}")
+    for _ in range(8):
+        polys = random_graph_ideal(field, rng, params, 3)
+        lex = polys[0].ring.with_order(TermOrder.lex())
+        free = parameter_free(sympy_groebner([f.convert(lex) for f in polys], lex, "lex"),
+                              params, field)
+        expected = sympy_groebner(free, free[0].ring, "grevlex")
+        assert strings(elimination_ideal(polys, params)) == strings(expected)

@@ -131,6 +131,15 @@ def test_hilbert_series_rewrite_error_cases():
         hilbert_series_rewrite(invariant_ring(TORUS), [1])
 
 
+def test_hilbert_series_rewrite_rejects_non_integral_degrees():
+    # truncated to [1, 2, 3, 4] these would divide exactly and return 1 + T^6
+    inv = invariant_ring(A4)
+    for degrees in ([1.9, 2.2, 3, 4], [True, 2, 3, 4], [1, 2, 3, 4.5]):
+        with pytest.raises(ValueError):
+            hilbert_series_rewrite(inv, degrees)
+    assert hilbert_series_rewrite(inv, [1.0, 2, 3, 4]) == UniPoly((1, 0, 0, 0, 0, 0, 1))
+
+
 def test_verify_generators_a4_all_pass():
     checks = verify_generators(invariant_ring(A4), 6)
     assert [c.degree for c in checks] == [1, 2, 3, 4, 5, 6]
