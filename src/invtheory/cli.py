@@ -116,15 +116,18 @@ def _load_field(data: dict) -> Field:
     _fail("field.type", f"unknown field type {spec['type']!r}")
 
 
-def _load_variables(data: dict) -> tuple[str, ...]:
-    names = data.get("variables")
+def _load_ring(field: Field, names, label: str):
+    """The ring on a JSON list of variable names; bad names fail as ``label``."""
     if (
         not isinstance(names, list)
         or not names
         or not all(isinstance(v, str) for v in names)
     ):
-        _fail("variables", "expected a non-empty list of variable names")
-    return tuple(names)
+        _fail(label, "expected a non-empty list of variable names")
+    try:
+        return polynomial_ring(field, names)
+    except ValueError as exc:
+        _fail(label, str(exc))
 
 
 def _finite_generator(ring, entry, index: int):
@@ -156,12 +159,11 @@ def _finite_generator(ring, entry, index: int):
 def _load_action(data: dict):
     """Build the action object; returns (action, kind, literal_q)."""
     field = _load_field(data)
-    names = _load_variables(data)
+    ring = _load_ring(field, data.get("variables"), "variables")
     spec = data.get("action")
     if not isinstance(spec, dict) or "kind" not in spec:
         _fail("action", "expected an object with a 'kind' key")
     kind = spec["kind"]
-    ring = polynomial_ring(field, names)
     if kind == "finite":
         gens = spec.get("generators")
         if not isinstance(gens, list) or not gens:
@@ -196,21 +198,16 @@ def _load_action(data: dict):
         except InvariantTheoryError as exc:
             _fail("action.weights", str(exc))
     if kind == "reductive":
-        gvars = spec.get("groupVariables")
-        if (
-            not isinstance(gvars, list)
-            or not gvars
-            or not all(isinstance(v, str) for v in gvars)
-        ):
-            _fail("action.groupVariables", "expected a list of variable names")
-        group_ring = polynomial_ring(field, tuple(gvars))
+        group_ring = _load_ring(field, spec.get("groupVariables"), "action.groupVariables")
         ideal = spec.get("groupIdeal")
-        if not isinstance(ideal, list) or not ideal:
+        if not isinstance(ideal, list) or not ideal or not all(isinstance(s, str) for s in ideal):
             _fail("action.groupIdeal", "expected a non-empty list of polynomials")
         matrix = spec.get("actionMatrix")
-        n = len(names)
+        n = ring.n
         if not isinstance(matrix, list) or len(matrix) != n or any(
-            not isinstance(row, list) or len(row) != n for row in matrix
+            not isinstance(row, list) or len(row) != n
+            or not all(isinstance(s, str) for s in row)
+            for row in matrix
         ):
             _fail("action.actionMatrix", f"expected an {n}x{n} matrix of polynomials")
         try:

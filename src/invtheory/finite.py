@@ -282,52 +282,38 @@ def _dense_reynolds(action: FiniteGroupAction, f: Polynomial) -> Polynomial:
 
 
 def molien_series(action: FiniteGroupAction) -> RationalFunction:
-    """Molien series (1/|G|) sum_g 1/det(1 - T g), reduced; each distinct
-    determinant is summed once, weighted by how many elements share it."""
-    if not action.ring.field.is_rationals:
+    """Molien series (1/|G|) sum_g 1/det(1 - T g), reduced.
+
+    det(1 - T g) = sum_k (-1)^k e_k T^k, where e_k are the elementary
+    symmetric functions of g's eigenvalues.  Newton's identities
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i give them, exactly over Q,
+    from the power sums p_i = tr(g^i).  Elements are counted by their trace
+    tuple (p_1, ..., p_n), which holds the same information as the
+    determinant, and each distinct determinant is summed once, weighted by
+    how many elements share it."""
+    field = action.ring.field
+    if not field.is_rationals:
         raise NonZeroCharacteristic("Molien series needs characteristic 0")
     closure = action.group_closure()
     n = action.ring.n
-    counts: dict[UniPoly, int] = {}
+    counts: dict[tuple, int] = {}
     for g in closure:
-        mat = [
-            [
-                UniPoly((1 if i == j else 0, -Fraction(g[i][j])))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        det = _unipoly_det(mat)
-        counts[det] = counts.get(det, 0) + 1
-    total = rational_function_sum(
-        (UniPoly.constant(count), det) for det, count in counts.items()
-    )
-    return total * Fraction(1, len(closure))
-
-
-def _unipoly_det(mat) -> UniPoly:
-    """Exact determinant of a matrix of univariate polynomials by cofactor
-    expansion along rows, memoized on the surviving column set."""
-    n = len(mat)
-    cache: dict[tuple[int, ...], UniPoly] = {(): UniPoly.one()}
-
-    def minor(cols: tuple[int, ...]) -> UniPoly:
-        value = cache.get(cols)
-        if value is not None:
-            return value
-        row = n - len(cols)
-        total = UniPoly.zero()
-        for idx, col in enumerate(cols):
-            entry = mat[row][col]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1:])
-            term = entry * sub
-            total = total + (term if idx % 2 == 0 else -term)
-        cache[cols] = total
-        return total
-
-    return minor(tuple(range(n)))
+        power = g
+        traces = [sum(g[i][i] for i in range(n))]
+        for _ in range(n - 1):
+            power = linalg.mat_mul(power, g, field)
+            traces.append(sum(power[i][i] for i in range(n)))
+        key = tuple(traces)
+        counts[key] = counts.get(key, 0) + 1
+    terms = []
+    for traces, count in counts.items():
+        e = [Fraction(1)]
+        for k in range(1, n + 1):
+            total = sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1))
+            e.append(total / k)
+        det = UniPoly((-1) ** k * e_k for k, e_k in enumerate(e))
+        terms.append((UniPoly.constant(count), det))
+    return rational_function_sum(terms) * Fraction(1, len(closure))
 
 
 def invariant_space_basis(action: FiniteGroupAction, degree: int) -> list[Polynomial]:

@@ -12,8 +12,13 @@ S-pairs the normal strategy reduces to zero.  Buchberger's coprime-lead and
 chain criteria drop pairs.  Each lead carries a support bitmask, so a pair
 with coprime leads is dropped when it is created and most divisibility
 tests are a mask test.
-One reducer serves everything: over Q it is integer pseudo-reduction with
-content stripping, and `normal_form` divides the scale it reports back out.
+One reducer serves both fields with one integer pseudo-reduction loop.
+Each step scales the work by lead/gcd(coeff, lead) and subtracts
+coeff/gcd(coeff, lead) times the shifted divisor.  Over F_p every element
+is monic, so that gcd is 1 and the step is the plain subtraction of coeff
+times the divisor: no rescaling happens, and each new coefficient is only
+reduced mod p.  Over Q the loop strips the content every 64 steps, and
+`normal_form` divides the scale it reports back out.
 Bases are converted back to monic polynomials at the end, so the published
 bases are the unique reduced ones.
 """
@@ -24,7 +29,6 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InhomogeneousTruncation, OrderMismatch, RingMismatch
 from .poly import Polynomial, PolynomialRing, _from_dict, support_mask
@@ -86,12 +90,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         engine._load(engine._to_internal(g))
     work, denominator = engine._integral(f)
     remainder = engine.reduce(work)
-    if engine.p is not None:
-        return _from_dict(f.ring, remainder)
     up, down = engine.last_scale
+    scalar = f.ring.field.from_pair
     return _from_dict(
         f.ring,
-        {e: Fraction(v * down, denominator * up) for e, v in remainder.items()},
+        {e: scalar(v * down, denominator * up) for e, v in remainder.items()},
     )
 
 
@@ -139,15 +142,12 @@ class _IncrementalGroebner:
     # -- conversions ----------------------------------------------------------
 
     def _integral(self, f: Polynomial) -> tuple[dict, int]:
-        """f's terms with integer coefficients: over Q, f times the lcm of
-        its denominators, which is returned too (1 over F_p)."""
-        if self.p is None:
-            denominator = math.lcm(*(c.denominator for _, c in f.terms))
-            work = {
-                e: c.numerator * (denominator // c.denominator) for e, c in f.terms
-            }
-            return work, denominator
-        return {e: c % self.p for e, c in f.terms if c % self.p}, 1
+        """f's terms with integer coefficients: f times the lcm of its
+        denominators, which is returned too.  F_p scalars are ints in
+        [0, p), so their denominator is 1."""
+        denominator = math.lcm(*(c.denominator for _, c in f.terms))
+        work = {e: c.numerator * (denominator // c.denominator) for e, c in f.terms}
+        return work, denominator
 
     def _to_internal(self, f: Polynomial) -> dict:
         return self._normalize(self._integral(f)[0])
@@ -172,11 +172,8 @@ class _IncrementalGroebner:
         return work
 
     def to_polynomial(self, work: dict) -> Polynomial:
-        if self.p is None:
-            terms = {e: Fraction(v) for e, v in work.items()}
-        else:
-            terms = dict(work)
-        poly = _from_dict(self.ring, terms)
+        coerce = self.ring.field.coerce
+        poly = _from_dict(self.ring, {e: coerce(v) for e, v in work.items()})
         return poly.monic() if not poly.is_zero() else poly
 
     # -- reduction -----------------------------------------------------------
@@ -189,9 +186,12 @@ class _IncrementalGroebner:
         return None
 
     def reduce(self, work: dict) -> dict:
-        """Full normal form in internal arithmetic.  Over Q it is up/down
-        times the exact remainder, with ``self.last_scale = (up, down)``
-        positive; over F_p both are 1."""
+        """Full normal form in internal arithmetic: up/down times the exact
+        remainder, with ``self.last_scale = (up, down)`` positive.
+
+        One loop serves both fields.  Divisors have positive leads, so the
+        scale lead/gcd(coeff, lead) is positive; over F_p the leads are 1,
+        so the scale is 1 and up = down = 1."""
         p = self.p
         result: dict = {}
         heap: list = []
@@ -211,50 +211,38 @@ class _IncrementalGroebner:
                 continue
             lead_exp, lead_coeff = self.leads[idx]
             shift = tuple(a - b for a, b in zip(exp, lead_exp))
-            g = self.elements[idx]
-            if p is None:
-                lam = math.gcd(coeff, lead_coeff)
-                scale = lead_coeff // lam
-                mult = coeff // lam
-                if scale != 1:
-                    if scale < 0:
-                        scale, mult = -scale, -mult
+            lam = math.gcd(coeff, lead_coeff)
+            scale = lead_coeff // lam
+            mult = coeff // lam
+            if scale != 1:
+                for e in work:
+                    work[e] *= scale
+                for e in result:
+                    result[e] *= scale
+                up *= scale
+            for g_exp, g_coeff in self.elements[idx].items():
+                target = tuple(a + b for a, b in zip(shift, g_exp))
+                value = work.get(target, 0) - mult * g_coeff
+                if p is not None:
+                    value %= p
+                if value:
+                    work[target] = value
+                    heapq.heappush(heap, (self._negkey(target), target))
+                else:
+                    work.pop(target, None)
+            steps += 1
+            if p is None and steps % 64 == 0:
+                merged_gcd = 0
+                for v in work.values():
+                    merged_gcd = math.gcd(merged_gcd, v)
+                for v in result.values():
+                    merged_gcd = math.gcd(merged_gcd, v)
+                if merged_gcd > 1:
                     for e in work:
-                        work[e] *= scale
+                        work[e] //= merged_gcd
                     for e in result:
-                        result[e] *= scale
-                    up *= scale
-                for g_exp, g_coeff in g.items():
-                    target = tuple(a + b for a, b in zip(shift, g_exp))
-                    value = work.get(target, 0) - mult * g_coeff
-                    if value:
-                        work[target] = value
-                        heapq.heappush(heap, (self._negkey(target), target))
-                    else:
-                        work.pop(target, None)
-                steps += 1
-                if steps % 64 == 0:
-                    merged_gcd = 0
-                    for v in work.values():
-                        merged_gcd = math.gcd(merged_gcd, v)
-                    for v in result.values():
-                        merged_gcd = math.gcd(merged_gcd, v)
-                    if merged_gcd > 1:
-                        for e in work:
-                            work[e] //= merged_gcd
-                        for e in result:
-                            result[e] //= merged_gcd
-                        down *= merged_gcd
-            else:
-                factor = coeff * pow(lead_coeff, -1, p) % p
-                for g_exp, g_coeff in g.items():
-                    target = tuple(a + b for a, b in zip(shift, g_exp))
-                    value = (work.get(target, 0) - factor * g_coeff) % p
-                    if value:
-                        work[target] = value
-                        heapq.heappush(heap, (self._negkey(target), target))
-                    else:
-                        work.pop(target, None)
+                        result[e] //= merged_gcd
+                    down *= merged_gcd
         self.last_scale = (up, down)
         return result
 
@@ -313,21 +301,18 @@ class _IncrementalGroebner:
         lead_j, c_j = self.leads[j]
         shift_i = tuple(a - b for a, b in zip(lcm, lead_i))
         shift_j = tuple(a - b for a, b in zip(lcm, lead_j))
+        lam = math.gcd(c_i, c_j)  # leads are 1 over F_p, so the multipliers are too
+        mult_i, mult_j = c_j // lam, c_i // lam
         out: dict = {}
-        if self.p is None:
-            lam = math.gcd(c_i, c_j)
-            mult_i, mult_j = c_j // lam, c_i // lam
-        else:
-            mult_i, mult_j = 1, c_i * pow(c_j, -1, self.p) % self.p
         for e, c in self.elements[i].items():
             target = tuple(a + b for a, b in zip(shift_i, e))
             out[target] = out.get(target, 0) + mult_i * c
         for e, c in self.elements[j].items():
             target = tuple(a + b for a, b in zip(shift_j, e))
             out[target] = out.get(target, 0) - mult_j * c
-        if self.p is None:
-            return {e: c for e, c in out.items() if c}
-        return {e: c % self.p for e, c in out.items() if c % self.p}
+        if self.p is not None:
+            out = {e: c % self.p for e, c in out.items()}
+        return {e: c for e, c in out.items() if c}
 
     def process_to(self, bound: int | None) -> None:
         """Handle all queued S-pairs with sugar <= bound (all of them when

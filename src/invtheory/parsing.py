@@ -61,11 +61,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def take_op(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise MalformedExpression(f"expected {op!r}, found {tok[1]!r}")
-
     # poly := ['-'] term (('+'|'-') term)*
     def parse(self) -> Polynomial:
         if not self.tokens:

@@ -196,6 +196,23 @@ def test_diagonal_orders_and_literal_q_are_checked_on_input(tmp_path, capsys):
     assert err.startswith("error: action.literalQ: ")
 
 
+def test_malformed_names_and_polynomial_entries_exit_one(tmp_path, capsys):
+    sl2 = SL2_DOC["action"]
+    cases = [
+        ("variables", dict(A4_DOC, variables=["x", "x", "y", "z"])),
+        ("variables", dict(A4_DOC, variables=["x", "1y", "z", "w"])),
+        ("action.groupVariables", dict(SL2_DOC, action=dict(sl2, groupVariables=["1z"]))),
+        ("action.groupIdeal", dict(SL2_DOC, action=dict(sl2, groupIdeal=[5]))),
+        ("action.actionMatrix", dict(SL2_DOC, action=dict(
+            sl2, actionMatrix=[[5] + row[1:] for row in sl2["actionMatrix"]]))),
+    ]
+    for field, doc in cases:
+        code, _, err = run(capsys, ["invariants", write(tmp_path, doc)])
+        assert code == 1, field
+        assert err.startswith(f"error: {field}: "), err
+        assert "Traceback" not in err
+
+
 def test_domain_errors_exit_two(tmp_path, capsys):
     modular = {
         "field": {"type": "Fp", "p": 2},

@@ -167,6 +167,28 @@ def test_molien_coefficients_match_fixed_space_dimensions():
             assert coeffs[d] == len(invariant_space_basis(action, d))
 
 
+def test_molien_of_a_conjugated_non_monomial_group():
+    # S3 conjugated by P: not monomial and with entries in (1/2)Z.  Its traces,
+    # and so its Molien series, are those of the permutation action.
+    P = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
+    P_inv = [[1, -1, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]]
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
+
+    gens = [mul(mul(P, permutation_matrix(g)), P_inv) for g in ("231", "213")]
+    action = FiniteGroupAction(polynomial_ring(QQ, ("x1", "x2", "x3")), gens)
+    assert action.order() == 6 and not action._is_monomial()
+    assert any(x.denominator == 2 for g in action.generators for row in g for x in row)
+    den = UniPoly.one()
+    for d in (1, 2, 3):
+        den = den * UniPoly.one_minus_t_power(d)
+    series = molien_series(action)
+    assert series == RationalFunction(UniPoly.one(), den)
+    coeffs = series.series_coefficients(9)
+    assert coeffs == [len(invariant_space_basis(action, d)) for d in range(9)]
+
+
 def test_invariant_space_basis_examples():
     assert [format_polynomial(f) for f in invariant_space_basis(A4, 1)] == ["x1+x2+x3+x4"]
     assert invariant_space_basis(PLUS_MINUS, 1) == []
