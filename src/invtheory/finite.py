@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 
 from . import linalg
 from .errors import (
@@ -30,6 +32,16 @@ from .poly import Polynomial, PolynomialRing, _from_dict, substitute
 from .ratfunc import RationalFunction, UniPoly, rational_function_sum
 
 DEFAULT_CLOSURE_CAP = 50000
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
+def _plain_entries(mat) -> tuple[int, ...]:
+    """A matrix's entries as plain ints, numerators then denominators (an F_p
+    scalar is its own numerator), to tell matrices apart in a set: hashing
+    and comparing Fractions is slow."""
+    entries = list(chain.from_iterable(mat))
+    return (*map(_numerator, entries), *map(_denominator, entries))
 
 
 def permutation_matrix(one_line: str):
@@ -63,7 +75,7 @@ class FiniteGroupAction:
                 raise DimensionMismatch(
                     f"generator is not a {ring.n}x{ring.n} matrix"
                 )
-            if not linalg.is_invertible(rows, field):
+            if linalg.rank(rows, field) != ring.n:
                 raise DimensionMismatch("generator matrix is singular")
             mats.append(rows)
         self.generators = tuple(mats)
@@ -81,11 +93,12 @@ class FiniteGroupAction:
         if self._closure is None:
             field = self.ring.field
             identity = linalg.identity(self.ring.n, field)
-            seen = {identity}
+            seen = {_plain_entries(identity)}
             ordered = [identity]
             for g in self.generators:
-                if g not in seen:
-                    seen.add(g)
+                key = _plain_entries(g)
+                if key not in seen:
+                    seen.add(key)
                     ordered.append(g)
             frontier = list(ordered)
             while frontier:
@@ -93,8 +106,9 @@ class FiniteGroupAction:
                 for x in frontier:
                     for g in self.generators:
                         y = linalg.mat_mul(x, g, field)
-                        if y not in seen:
-                            seen.add(y)
+                        key = _plain_entries(y)
+                        if key not in seen:
+                            seen.add(key)
                             ordered.append(y)
                             next_frontier.append(y)
                             if len(ordered) > self.closure_cap:

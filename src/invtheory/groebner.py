@@ -10,8 +10,22 @@ of a pair is its lcm degree, so this is the normal strategy there; on
 inhomogeneous input, such as graph ideals u_i - f_i, it avoids the many
 S-pairs the normal strategy reduces to zero.  Buchberger's coprime-lead and
 chain criteria drop pairs.  Each lead carries a support bitmask, so a pair
-with coprime leads is dropped when it is created and most divisibility
-tests are a mask test.
+with coprime leads is dropped when it is created.
+
+Inside the engine a monomial is one packed int (Bachmann and Schoenemann,
+*Monomial representations for Groebner bases computations*, ISSAC 1998):
+the exponents sit in bit fields of one width, each field's top bit a guard
+bit that stays clear, and above them the term order's key is packed the
+same way.  Every order here has a key linear in the exponents, so a product
+of monomials is one integer addition and packed monomials compare as their
+keys do.  A lead divides a monomial when subtracting it from the monomial
+with every guard bit set clears none of them; the leads sit side by side in
+one integer, so one subtraction tests them all.  The fields start narrow.
+An input, S-polynomial or reduction step that would set a guard bit makes
+the engine double the width, repack what it holds and redo the call, so
+exponents are unbounded.  Polynomials and the engine's calls from outside
+keep exponent tuples; the engine converts on entry and exit.
+
 One reducer serves both fields with one integer pseudo-reduction loop.
 Each step scales the work by lead/gcd(coeff, lead) and subtracts
 coeff/gcd(coeff, lead) times the shifted divisor.  Over F_p every element
@@ -29,6 +43,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InhomogeneousTruncation, OrderMismatch, RingMismatch
 from .poly import Polynomial, PolynomialRing, _from_dict, support_mask
@@ -87,9 +102,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 raise RingMismatch(f"{f.ring} vs {g.ring}")
     engine = _IncrementalGroebner(f.ring)
     for g in divisors:
-        engine._load(engine._to_internal(g))
+        engine._load(engine._integral(g)[0])
     work, denominator = engine._integral(f)
-    remainder = engine.reduce(work)
+    remainder = engine.reduce(engine._pack_terms(work))
     up, down = engine.last_scale
     scalar = f.ring.field.from_pair
     return _from_dict(
@@ -108,36 +123,90 @@ class _IncrementalGroebner:
     processed-degree watermark, as King-style algorithms need.
 
     Over Q, elements are primitive integer-coefficient term dicts with a
-    positive lead coefficient; over F_p they are monic mod p.
+    positive lead coefficient; over F_p they are monic mod p.  ``elements``
+    and ``leads`` hold exponent tuples, the reducer packed monomials.
     """
 
     def __init__(self, ring: PolynomialRing):
         self.ring = ring
         self.p = ring.field.characteristic() or None
         self.n = ring.n
-        self._key_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._negkey_cache: dict[tuple[int, ...], tuple[int, ...]] = {}  # heap keys
         self.elements: list[dict] = []
         self.leads: list[tuple[tuple[int, ...], int]] = []  # (exp, coeff)
         self.support: list[int] = []  # bit v set when the lead's exponent v > 0
         # sugar minus the lead's degree; 0 for homogeneous input
         self.excess: list[int] = []
-        self.heap: list = []   # (sugar, key(lcm), i, j, lcm)
+        self.heap: list = []   # (sugar, packed lcm, i, j, lcm)
         self.pending: set[tuple[int, int]] = set()
+        self._set_width(4)  # exponents below 8 until something larger comes
 
-    # -- keys --------------------------------------------------------------
+    # -- packed monomials --------------------------------------------------------
 
-    def _key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
-        k = self._key_cache.get(exp)
-        if k is None:
-            k = self._key_cache[exp] = self.ring.order.key(exp)
-        return k
+    def _set_width(self, width: int) -> None:
+        """Pack monomials in ``width``-bit fields; repack everything held.
 
-    def _negkey(self, exp: tuple[int, ...]) -> tuple[int, ...]:
-        k = self._negkey_cache.get(exp)
-        if k is None:
-            k = self._negkey_cache[exp] = tuple(-v for v in self._key(exp))
-        return k
+        H(e) = K(e) 2^(n width) + sum_v e_v 2^(width v), each e_v below its
+        field's guard bit 2^(width - 1).  K(e) packs the order key in fields
+        of width + n.bit_length() bits, room for the difference of any two
+        components (a degree is below n 2^(width - 1)), so packed monomials
+        compare as their keys do; H(e) = sum_v e_v H(unit_v)."""
+        n = self.n
+        self.width = width
+        self.guard = sum(1 << (width * v + width - 1) for v in range(n))
+        key_width = width + n.bit_length()
+        self._units = []
+        for v in range(n):
+            key = 0
+            for part in self.ring.order.key(tuple(int(u == v) for u in range(n))):
+                key = (key << key_width) + part
+            self._units.append((key << (width * n)) + (1 << (width * v)))
+        # The exponent parts of all leads side by side, one slot of
+        # n width + 1 bits per lead; see `_divisors`.
+        self._low = (1 << (width * n)) - 1
+        self._slot = width * n + 1
+        self._rep = self._bulk = self._guards = self._slot_tops = self._fill = 0
+        self._lead_h: list[int] = []
+        self._tails: list[dict] = []  # the element without its lead, packed
+        self._ceilings: list[int] = []  # the packed componentwise max exponent
+        for work in self.elements:
+            self._index(work, {self._pack(e): e for e in work})
+        self.heap = [(s, self._pack(lcm), i, j, lcm) for s, _, i, j, lcm in self.heap]
+
+    def _fit(self, exps) -> None:
+        """Widen the fields until every exponent in ``exps`` fits."""
+        top = max(chain.from_iterable(exps), default=0)
+        width = self.width
+        while top >> (width - 1):
+            width *= 2
+        if width != self.width:
+            self._set_width(width)
+
+    def _pack(self, exp: tuple[int, ...]) -> int:
+        return sum(map(operator.mul, exp, self._units))
+
+    def _unpack(self, h: int) -> tuple[int, ...]:
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple(h >> (width * v) & mask for v in range(self.n))
+
+    def _pack_terms(self, work: dict) -> dict:
+        self._fit(work)
+        pack = self._pack
+        return {pack(e): c for e, c in work.items()}
+
+    def _index(self, work: dict, packed: dict) -> None:
+        """Hold the element ``work`` packed as well; ``packed`` maps each of
+        its monomials, packed, to its exponent."""
+        lead_h = max(packed)
+        at = self._slot * len(self._lead_h)
+        self._rep += 1 << at
+        self._bulk += (lead_h & self._low) << at
+        self._guards = self.guard * self._rep
+        self._slot_tops = self._rep << (self._slot - 1)
+        self._fill = self._slot_tops - self._guards
+        self._lead_h.append(lead_h)
+        self._tails.append({h: work[e] for h, e in packed.items() if h != lead_h})
+        self._ceilings.append(self._pack(tuple(map(max, zip(*work)))))
 
     # -- conversions ----------------------------------------------------------
 
@@ -150,23 +219,21 @@ class _IncrementalGroebner:
         return work, denominator
 
     def _to_internal(self, f: Polynomial) -> dict:
-        return self._normalize(self._integral(f)[0])
+        """f's normalized integer terms, packed: the input of `reduce`."""
+        work = self._pack_terms(self._integral(f)[0])
+        return self._normalize(work, work[max(work)]) if work else work
 
-    def _normalize(self, work: dict) -> dict:
-        if not work:
-            return work
+    def _normalize(self, work: dict, lead_coeff: int) -> dict:
+        """Over Q, divide out the content with the lead's sign; over F_p,
+        make the lead 1."""
         if self.p is None:
-            content = 0
-            for v in work.values():
-                content = math.gcd(content, v)
-            lead = max(work, key=self._key)
-            if work[lead] < 0:
+            content = math.gcd(*work.values())
+            if lead_coeff < 0:
                 content = -content
-            if content not in (0, 1):
+            if content != 1:
                 work = {e: v // content for e, v in work.items()}
         else:
-            lead = max(work, key=self._key)
-            inv = pow(work[lead], -1, self.p)
+            inv = pow(lead_coeff, -1, self.p)
             if inv != 1:
                 work = {e: v * inv % self.p for e, v in work.items()}
         return work
@@ -178,39 +245,60 @@ class _IncrementalGroebner:
 
     # -- reduction -----------------------------------------------------------
 
-    def _find_divisor(self, exp: tuple[int, ...]):
-        outside = ~support_mask(exp)
-        for idx, mask in enumerate(self.support):
-            if not mask & outside and all(map(operator.le, self.leads[idx][0], exp)):
-                return idx
-        return None
+    def _divisors(self, h: int) -> int:
+        """The leads dividing the packed monomial h: bit slot k + slot - 1
+        for lead k.  h with its guard bits G set, copied into every slot,
+        minus the leads keeps a guard bit where h's exponent is at least the
+        lead's; adding 2^(n width) - G per slot carries into the slot's top
+        bit exactly when all of G survive."""
+        kept = ((h & self._low | self.guard) * self._rep - self._bulk) & self._guards
+        return kept + self._fill & self._slot_tops
 
     def reduce(self, work: dict) -> dict:
-        """Full normal form in internal arithmetic: up/down times the exact
-        remainder, with ``self.last_scale = (up, down)`` positive.
+        """Full normal form of packed terms (`_to_internal`'s output) in
+        internal arithmetic, keyed by exponent tuples: up/down times the
+        exact remainder, with ``self.last_scale = (up, down)`` positive.
+        When a product would set a guard bit, the fields are widened and
+        the reduction starts over."""
+        while (result := self._remainder(work)) is None:
+            exps = {self._unpack(h): c for h, c in work.items()}
+            self._set_width(2 * self.width)
+            work = self._pack_terms(exps)
+        unpack = self._unpack
+        return {unpack(h): c for h, c in result.items()}
+
+    def _remainder(self, work: dict):
+        """`reduce` on packed terms, leaving ``work`` as it is; None when a
+        product overflows the fields.
 
         One loop serves both fields.  Divisors have positive leads, so the
         scale lead/gcd(coeff, lead) is positive; over F_p the leads are 1,
-        so the scale is 1 and up = down = 1."""
+        so the scale is 1 and up = down = 1.  A term enters the heap once:
+        ``work`` keeps a term that cancels, at 0, until it is popped."""
         p = self.p
+        guard, slot, divisors = self.guard, self._slot, self._divisors
+        leads, tails, ceilings = self.leads, self._tails, self._ceilings
+        push, pop = heapq.heappush, heapq.heappop
+        work = dict(work)
+        heap = [-h for h in work]
+        heapq.heapify(heap)
         result: dict = {}
-        heap: list = []
-        for exp in work:
-            heapq.heappush(heap, (self._negkey(exp), exp))
         steps = 0
         up = down = 1
         while heap:
-            _, exp = heapq.heappop(heap)
-            coeff = work.get(exp)
+            h = -pop(heap)
+            coeff = work.pop(h)
             if not coeff:
-                work.pop(exp, None)
                 continue
-            idx = self._find_divisor(exp)
-            if idx is None:
-                result[exp] = work.pop(exp)
+            found = divisors(h)
+            if not found:
+                result[h] = coeff
                 continue
-            lead_exp, lead_coeff = self.leads[idx]
-            shift = tuple(a - b for a, b in zip(exp, lead_exp))
+            idx = (found & -found).bit_length() // slot - 1  # the first divisor
+            shift = h - self._lead_h[idx]
+            if (shift + ceilings[idx]) & guard:
+                return None
+            lead_coeff = leads[idx][1]
             lam = math.gcd(coeff, lead_coeff)
             scale = lead_coeff // lam
             mult = coeff // lam
@@ -220,23 +308,17 @@ class _IncrementalGroebner:
                 for e in result:
                     result[e] *= scale
                 up *= scale
-            for g_exp, g_coeff in self.elements[idx].items():
-                target = tuple(a + b for a, b in zip(shift, g_exp))
-                value = work.get(target, 0) - mult * g_coeff
-                if p is not None:
-                    value %= p
-                if value:
-                    work[target] = value
-                    heapq.heappush(heap, (self._negkey(target), target))
-                else:
-                    work.pop(target, None)
+            for g, g_coeff in tails[idx].items():
+                target = shift + g
+                value = work.get(target)
+                if value is None:
+                    push(heap, -target)
+                    value = 0
+                value -= mult * g_coeff
+                work[target] = value % p if p is not None else value
             steps += 1
             if p is None and steps % 64 == 0:
-                merged_gcd = 0
-                for v in work.values():
-                    merged_gcd = math.gcd(merged_gcd, v)
-                for v in result.values():
-                    merged_gcd = math.gcd(merged_gcd, v)
+                merged_gcd = math.gcd(*work.values(), *result.values())
                 if merged_gcd > 1:
                     for e in work:
                         work[e] //= merged_gcd
@@ -249,7 +331,8 @@ class _IncrementalGroebner:
     # -- basis growth -----------------------------------------------------------
 
     def lead_divides(self, exp: tuple[int, ...]) -> bool:
-        return self._find_divisor(exp) is not None
+        self._fit((exp,))
+        return bool(self._divisors(self._pack(exp)))
 
     def _push_pairs(self, new_index: int) -> None:
         """Queue the pairs (i, new_index).  The sugar of a pair is
@@ -266,17 +349,21 @@ class _IncrementalGroebner:
             pair = (i, new_index)
             self.pending.add(pair)
             sugar = sum(lcm) + max(self.excess[i], excess_new)
-            heapq.heappush(self.heap, (sugar, self._key(lcm), i, new_index, lcm))
+            heapq.heappush(self.heap, (sugar, self._pack(lcm), i, new_index, lcm))
 
     def _load(self, work: dict, sugar: int | None = None) -> None:
-        """Append a nonzero element as a divisor, queuing no pairs.  Without
-        a sugar, the lead's degree stands in for it."""
-        work = self._normalize(work)
-        lead = max(work, key=self._key)
+        """Append a nonzero element, keyed by exponent tuples, as a divisor,
+        queuing no pairs.  Without a sugar, the lead's degree stands in for
+        it."""
+        self._fit(work)
+        packed = {self._pack(e): e for e in work}
+        lead = packed[max(packed)]
+        work = self._normalize(work, work[lead])
         self.elements.append(work)
         self.leads.append((lead, work[lead]))
         self.support.append(support_mask(lead))
         self.excess.append(0 if sugar is None else sugar - sum(lead))
+        self._index(work, packed)
 
     def _append(self, work: dict, sugar: int) -> None:
         self._load(work, sugar)
@@ -297,28 +384,32 @@ class _IncrementalGroebner:
         return not self.reduce(self._to_internal(f))
 
     def _spoly(self, i: int, j: int, lcm: tuple[int, ...]) -> dict:
-        lead_i, c_i = self.leads[i]
-        lead_j, c_j = self.leads[j]
-        shift_i = tuple(a - b for a, b in zip(lcm, lead_i))
-        shift_j = tuple(a - b for a, b in zip(lcm, lead_j))
+        """The S-polynomial of elements i and j, packed; the fields are
+        widened first if a product would set a guard bit."""
+        while True:
+            packed = self._pack(lcm)
+            shift_i = packed - self._lead_h[i]
+            shift_j = packed - self._lead_h[j]
+            if not ((shift_i + self._ceilings[i]) | (shift_j + self._ceilings[j])) & self.guard:
+                break
+            self._set_width(2 * self.width)
+        c_i, c_j = self.leads[i][1], self.leads[j][1]
         lam = math.gcd(c_i, c_j)  # leads are 1 over F_p, so the multipliers are too
         mult_i, mult_j = c_j // lam, c_i // lam
-        out: dict = {}
-        for e, c in self.elements[i].items():
-            target = tuple(a + b for a, b in zip(shift_i, e))
-            out[target] = out.get(target, 0) + mult_i * c
-        for e, c in self.elements[j].items():
-            target = tuple(a + b for a, b in zip(shift_j, e))
+        # the leads cancel
+        out = {shift_i + h: mult_i * c for h, c in self._tails[i].items()}
+        for h, c in self._tails[j].items():
+            target = shift_j + h
             out[target] = out.get(target, 0) - mult_j * c
         if self.p is not None:
-            out = {e: c % self.p for e, c in out.items()}
-        return {e: c for e, c in out.items() if c}
+            out = {h: c % self.p for h, c in out.items()}
+        return {h: c for h, c in out.items() if c}
 
     def process_to(self, bound: int | None) -> None:
         """Handle all queued S-pairs with sugar <= bound (all of them when
         bound is None); a reduced S-polynomial keeps its pair's sugar."""
         while self.heap:
-            sugar, _, i, j, lcm = self.heap[0]
+            sugar, packed, i, j, lcm = self.heap[0]
             if bound is not None and sugar > bound:
                 break
             heapq.heappop(self.heap)
@@ -326,38 +417,37 @@ class _IncrementalGroebner:
             if pair not in self.pending:
                 continue
             self.pending.discard(pair)
-            if self._chain_skip(i, j, lcm):
+            if self._chain_skip(i, j, packed):
                 continue
             reduced = self.reduce(self._spoly(i, j, lcm))
             if reduced:
                 self._append(reduced, sugar)
 
-    def _chain_skip(self, i: int, j: int, lcm: tuple[int, ...]) -> bool:
-        """Buchberger's chain criterion: some other lead divides the lcm and
-        both of its pairs with i and j are already treated.  Coprime pairs,
-        never queued, count as treated."""
-        outside = ~(self.support[i] | self.support[j])
-        for k, mask in enumerate(self.support):
-            if mask & outside or k == i or k == j:
+    def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
+        """Buchberger's chain criterion: some other lead divides the packed
+        lcm and both of its pairs with i and j are already treated.  Coprime
+        pairs, never queued, count as treated."""
+        found = self._divisors(lcm)
+        while found:
+            bit = found & -found
+            found ^= bit
+            k = bit.bit_length() // self._slot - 1
+            if k == i or k == j:
                 continue
-            if all(map(operator.le, self.leads[k][0], lcm)):
-                pair_ik = (min(i, k), max(i, k))
-                pair_jk = (min(j, k), max(j, k))
-                if pair_ik not in self.pending and pair_jk not in self.pending:
-                    return True
+            pair_ik = (min(i, k), max(i, k))
+            pair_jk = (min(j, k), max(j, k))
+            if pair_ik not in self.pending and pair_jk not in self.pending:
+                return True
         return False
 
     # -- extraction ----------------------------------------------------------------
 
     def reduced_elements(self) -> list[Polynomial]:
         """Monic inter-reduced basis, sorted ascending by lead term."""
-        order = sorted(
-            range(len(self.elements)), key=lambda t: self._key(self.leads[t][0])
-        )
+        order = sorted(range(len(self.elements)), key=self._lead_h.__getitem__)
         # Each tail is reduced by all kept elements, its own included: a lead
         # never divides a smaller term.
         divisors = _IncrementalGroebner(self.ring)
-        divisors._key_cache = self._key_cache
         kept: list[int] = []
         for idx in order:
             if not divisors.lead_divides(self.leads[idx][0]):
@@ -367,7 +457,7 @@ class _IncrementalGroebner:
         for idx in kept:
             lead, coeff = self.leads[idx]
             tail = {e: v for e, v in self.elements[idx].items() if e != lead}
-            reduced = divisors.reduce(tail)
+            reduced = divisors.reduce(divisors._pack_terms(tail))
             up, down = divisors.last_scale
             if down != 1:
                 reduced = {e: v * down for e, v in reduced.items()}

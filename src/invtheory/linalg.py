@@ -1,8 +1,8 @@
 """Exact dense linear algebra over a coefficient field.
 
 Matrices are lists (or tuples) of rows of field scalars.  `rank`, `rref` and
-`nullspace` read one incremental `Echelon`; `det` is plain Gaussian
-elimination.  Reduced echelon forms are unique, so results are canonical.
+`nullspace` read one incremental `Echelon`.  Reduced echelon forms are
+unique, so results are canonical.
 """
 
 from __future__ import annotations
@@ -109,36 +109,3 @@ def nullspace(rows, ncols: int, field: Field):
         for fc in range(ncols) if fc not in where
     ]
     return [tuple(row) for row in rref(basis, field)[0]]
-
-
-def det(rows, field: Field):
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    result = field.one()
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if not field.is_zero(mat[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return field.zero()
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            result = field.neg(result)
-        pivot = mat[col][col]
-        result = field.mul(result, pivot)
-        inv = field.inv(pivot)
-        for i in range(col + 1, n):
-            if not field.is_zero(mat[i][col]):
-                factor = field.mul(mat[i][col], inv)
-                mat[i] = [
-                    field.sub(v, field.mul(factor, w))
-                    for v, w in zip(mat[i], mat[col])
-                ]
-    return result
-
-
-def is_invertible(rows, field: Field) -> bool:
-    return not field.is_zero(det(rows, field))

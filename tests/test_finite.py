@@ -323,3 +323,58 @@ def test_d6_generators_are_pinned():
         "x1^5+x2^5+x3^5+x4^5+x5^5+x6^5",
         "x1^6+x2^6+x3^6+x4^6+x5^6+x6^6",
     ]
+
+
+def reference_closure(action):
+    """Plain breadth-first closure, with the matrices themselves as the
+    seen keys."""
+    from invtheory.linalg import identity, mat_mul
+
+    field = action.ring.field
+    ordered = [identity(action.ring.n, field)]
+    for g in action.generators:
+        if g not in ordered:
+            ordered.append(g)
+    frontier = list(ordered)
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            for g in action.generators:
+                y = mat_mul(x, g, field)
+                if y not in ordered:
+                    ordered.append(y)
+                    next_frontier.append(y)
+        frontier = next_frontier
+    return ordered
+
+
+def test_group_closure_matches_a_plain_breadth_first_search():
+    F7 = prime_field(7)
+    sl2_f7 = FiniteGroupAction(polynomial_ring(F7, ("x", "y")),
+                               [[[1, 1], [0, 1]], [[0, 6], [1, 0]]])
+    P = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
+    P_inv = [[1, -1, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]]
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
+
+    halves = FiniteGroupAction(polynomial_ring(QQ, ("x1", "x2", "x3")),
+                               [mul(mul(P, permutation_matrix(g)), P_inv) for g in ("231", "213")])
+    for action, order in ((A4, 12), (sl2_f7, 336), (halves, 6)):
+        closure = FiniteGroupAction(action.ring, action.generators).group_closure()
+        assert len(closure) == order
+        assert list(closure) == reference_closure(action)
+        assert [type(v) for g in closure for row in g for v in row] == [
+            type(v) for g in reference_closure(action) for row in g for v in row]
+
+
+def test_singular_generators_are_rejected():
+    from invtheory import DimensionMismatch
+
+    F5 = prime_field(5)
+    ring = polynomial_ring(F5, ("x", "y"))
+    assert FiniteGroupAction(ring, [[[1, 2], [3, 4]]]).generators == (((1, 2), (3, 4)),)
+    with pytest.raises(DimensionMismatch, match="generator matrix is singular"):
+        FiniteGroupAction(ring, [[[1, 2], [2, 4]]])
+    with pytest.raises(DimensionMismatch, match="generator matrix is singular"):
+        FiniteGroupAction(R2, [[[1, 0], [0, 0]]])
