@@ -13,7 +13,6 @@ matrices, Reynolds images and fixed spaces are orbit sums (`_Orbit`).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
 
@@ -28,7 +27,7 @@ from .errors import (
     RingMismatch,
 )
 from .groebner import degree_sweep
-from .poly import Polynomial, PolynomialRing, _from_dict, substitute
+from .poly import Polynomial, PolynomialRing, _accumulate, _from_dict, substitute
 from .ratfunc import RationalFunction, UniPoly, rational_function_sum
 
 DEFAULT_CLOSURE_CAP = 50000
@@ -36,12 +35,33 @@ DEFAULT_CLOSURE_CAP = 50000
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
-def _plain_entries(mat) -> tuple[int, ...]:
-    """A matrix's entries as plain ints, numerators then denominators (an F_p
-    scalar is its own numerator), to tell matrices apart in a set: hashing
-    and comparing Fractions is slow."""
-    entries = list(chain.from_iterable(mat))
-    return (*map(_numerator, entries), *map(_denominator, entries))
+def _row_key(rows) -> tuple[int, ...]:
+    """Sparse rows as plain ints (row lengths, columns, numerators, then
+    denominators; an F_p scalar is its own numerator), to tell group
+    elements apart in a set: hashing and comparing Fractions is slow."""
+    entries = list(chain.from_iterable(rows))
+    scalars = [c for _, c in entries]
+    return (*map(len, rows), *(k for k, _ in entries),
+            *map(_numerator, scalars), *map(_denominator, scalars))
+
+
+def _row_product(x, g, p: int | None):
+    """x g on sparse rows (see `_Substitution`): row i is the sum over
+    (t, a) in x[i] of a times row t of g.  A row with one entry scales one
+    row of g, so a product of monomial matrices costs O(n)."""
+    out = []
+    for row in x:
+        if len(row) == 1:
+            ((t, a),) = row
+            out.append(g[t] if a == 1 else tuple((k, a * b % p if p else a * b) for k, b in g[t]))
+            continue
+        acc: dict[int, object] = {}
+        for t, a in row:
+            for k, b in g[t]:
+                acc[k] = acc.get(k, 0) + a * b
+        out.append(tuple(sorted(
+            (k, c) for k, c in ((k, c % p if p else c) for k, c in acc.items()) if c)))
+    return tuple(out)
 
 
 def permutation_matrix(one_line: str):
@@ -80,6 +100,7 @@ class FiniteGroupAction:
             mats.append(rows)
         self.generators = tuple(mats)
         self._closure: tuple | None = None
+        self._sparse_closure: tuple | None = None
         # Built on first use, like the closure.
         self._generator_subs: tuple[_Substitution, ...] | None = None
         # The last orbit walked, so King's sweep and the Reynolds image of
@@ -89,14 +110,18 @@ class FiniteGroupAction:
     # -- the group ------------------------------------------------------------
 
     def group_closure(self) -> tuple:
-        """All group elements, breadth-first from the identity; cached."""
+        """All group elements, breadth-first from the identity; cached.  The
+        walk multiplies sparse rows, kept for `molien_series`; the public
+        elements are made dense once, at the end."""
         if self._closure is None:
             field = self.ring.field
-            identity = linalg.identity(self.ring.n, field)
-            seen = {_plain_entries(identity)}
+            n = self.ring.n
+            generators = [sub.images for sub in self._generator_substitutions()]
+            identity = tuple(((i, field.one()),) for i in range(n))
+            seen = {_row_key(identity)}
             ordered = [identity]
-            for g in self.generators:
-                key = _plain_entries(g)
+            for g in generators:
+                key = _row_key(g)
                 if key not in seen:
                     seen.add(key)
                     ordered.append(g)
@@ -104,9 +129,9 @@ class FiniteGroupAction:
             while frontier:
                 next_frontier = []
                 for x in frontier:
-                    for g in self.generators:
-                        y = linalg.mat_mul(x, g, field)
-                        key = _plain_entries(y)
+                    for g in generators:
+                        y = _row_product(x, g, field.p)
+                        key = _row_key(y)
                         if key not in seen:
                             seen.add(key)
                             ordered.append(y)
@@ -116,7 +141,10 @@ class FiniteGroupAction:
                                     f"group closure exceeded {self.closure_cap} elements"
                                 )
                 frontier = next_frontier
-            self._closure = tuple(ordered)
+            self._sparse_closure = tuple(ordered)
+            zero = field.zero()
+            self._closure = tuple(tuple(tuple(dict(row).get(k, zero) for k in range(n))
+                                        for row in x) for x in ordered)
         return self._closure
 
     def order(self) -> int:
@@ -153,10 +181,11 @@ class FiniteGroupAction:
 class _Substitution:
     """The substitution x_j -> sum_k g[j][k] x_k of one matrix g.
 
-    The image of x_j is held as (k, g[j][k]) pairs over the nonzero entries,
-    with the scalars coerced once.  When every row has one entry (a monomial
-    matrix) each monomial maps to a scalar times a monomial; otherwise the
-    images are expanded into polynomials for `substitute`.
+    The image of x_j is held as (k, g[j][k]) pairs over the nonzero entries
+    (g's sparse rows), with the scalars coerced once.  When every row has one
+    entry and no two share a column (a monomial matrix) each monomial maps to
+    a scalar times a monomial; otherwise the images are expanded into
+    polynomials for `substitute`.
     """
 
     def __init__(self, ring: PolynomialRing, g):
@@ -164,14 +193,23 @@ class _Substitution:
             raise DimensionMismatch(f"matrix is not {ring.n}x{ring.n}")
         field = ring.field
         self.ring = ring
+        self._one = field.one()
         images = []
         for row in g:
             pairs = ((k, field.coerce(v)) for k, v in enumerate(row))
             images.append(tuple((k, c) for k, c in pairs if not field.is_zero(c)))
         self.images = tuple(images)
-        self.is_monomial = all(len(pairs) == 1 for pairs in self.images)
+        self.is_monomial = (all(len(pairs) == 1 for pairs in self.images)
+                            and len({pairs[0][0] for pairs in self.images}) == ring.n)
         self.polynomials = None
-        if not self.is_monomial:
+        if self.is_monomial:
+            # x^e(g.x) = c x^f with f_k = e_source[k], and c the product of
+            # the entries in `scaled` (those that are not 1) to their powers
+            self._source = [0] * ring.n
+            for j, ((k, _),) in enumerate(self.images):
+                self._source[k] = j
+            self.scaled = [(j, c) for j, ((_, c),) in enumerate(self.images) if c != 1]
+        else:
             unit = [tuple(1 if i == k else 0 for i in range(ring.n)) for k in range(ring.n)]
             self.polynomials = [
                 _from_dict(ring, {unit[k]: c for k, c in pairs}) for pairs in self.images
@@ -179,15 +217,13 @@ class _Substitution:
 
     def monomial_image(self, exponents: tuple[int, ...]):
         """(c, e) with x^exponents(g.x) = c x^e; monomial matrices only."""
-        mul = self.ring.field.mul
-        scalar = self.ring.field.one()
-        out = [0] * len(exponents)
-        for ((k, c),), e in zip(self.images, exponents):
+        p = self.ring.field.p
+        scalar = self._one
+        for j, c in self.scaled:
+            e = exponents[j]
             if e:
-                out[k] += e
-                for _ in range(e):
-                    scalar = mul(scalar, c)
-        return scalar, tuple(out)
+                scalar = scalar * pow(c, e, p)
+        return scalar % p if p else scalar, tuple(map(exponents.__getitem__, self._source))
 
     def apply(self, f: Polynomial) -> Polynomial:
         """f(g.x)."""
@@ -199,14 +235,6 @@ class _Substitution:
             scalar, image = self.monomial_image(exp)
             _accumulate(acc, ((image, field.mul(coeff, scalar)),), field)
         return _from_dict(self.ring, acc)
-
-
-def _accumulate(acc: dict, terms, field, scale=None) -> None:
-    """acc += scale * terms, on exponent -> coefficient dicts."""
-    for exp, coeff in terms:
-        if scale is not None:
-            coeff = field.mul(scale, coeff)
-        acc[exp] = field.add(acc[exp], coeff) if exp in acc else coeff
 
 
 class _Orbit:
@@ -235,7 +263,7 @@ class _Orbit:
                 cm = coefficients[m]
                 for s in substitutions:
                     scalar, image = s.monomial_image(m)
-                    c = field.mul(cm, scalar)
+                    c = field.mul(cm, scalar) if s.scaled else cm
                     known = coefficients.get(image)
                     if known is None:
                         coefficients[image] = c
@@ -311,12 +339,12 @@ def molien_series(action: FiniteGroupAction) -> RationalFunction:
     closure = action.group_closure()
     n = action.ring.n
     counts: dict[tuple, int] = {}
-    for g in closure:
+    for g in action._sparse_closure:
         power = g
-        traces = [sum(g[i][i] for i in range(n))]
+        traces = [_trace(g)]
         for _ in range(n - 1):
-            power = linalg.mat_mul(power, g, field)
-            traces.append(sum(power[i][i] for i in range(n)))
+            power = _row_product(power, g, None)
+            traces.append(_trace(power))
         key = tuple(traces)
         counts[key] = counts.get(key, 0) + 1
     terms = []
@@ -328,6 +356,10 @@ def molien_series(action: FiniteGroupAction) -> RationalFunction:
         det = UniPoly((-1) ** k * e_k for k, e_k in enumerate(e))
         terms.append((UniPoly.constant(count), det))
     return rational_function_sum(terms) * Fraction(1, len(closure))
+
+
+def _trace(rows):
+    return sum(c for i, row in enumerate(rows) for k, c in row if k == i)
 
 
 def invariant_space_basis(action: FiniteGroupAction, degree: int) -> list[Polynomial]:
@@ -362,30 +394,16 @@ def _dense_invariant_space_basis(action: FiniteGroupAction, degree: int) -> list
     basis = ring.monomial_basis(degree)
     if not basis:
         return []
-    size = len(basis)
+    zero = field.zero()
     rows = []
     for sub in action._generator_substitutions():
         columns = [dict(sub.apply(ring.monomial(m)).terms) for m in basis]
-        for j in range(size):
-            row = [field.zero()] * size
-            any_nonzero = False
-            for i in range(size):
-                value = columns[i].get(basis[j].exponents)
-                if value is not None and not field.is_zero(value):
-                    row[i] = value
-                    any_nonzero = True
+        for j, m in enumerate(basis):
+            row = [column.get(m.exponents, zero) for column in columns]
             row[j] = field.sub(row[j], field.one())
-            if any_nonzero or not field.is_zero(row[j]):
-                rows.append(row)
-    vectors = linalg.nullspace(rows, size, field)
-    out = []
-    for vec in vectors:
-        out.append(
-            ring.from_terms(
-                {basis[i].exponents: c for i, c in enumerate(vec) if not field.is_zero(c)}
-            )
-        )
-    return out
+            rows.append(row)
+    exps = [m.exponents for m in basis]
+    return [ring.from_terms(zip(exps, vec)) for vec in linalg.nullspace(rows, len(basis), field)]
 
 
 def _degree_bound(action: FiniteGroupAction, max_degree: int | None) -> int:
@@ -402,7 +420,7 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> list[Polynomial
     ``candidates(engine, d, monomials)`` also gets the degree-d monomials.
     Generators come out monic, by degree then descending lead."""
     ring = action.ring
-    monomials = lru_cache(maxsize=2)(ring.monomial_basis)
+    monomials = ring.monomial_basis
 
     def covered(engine, d: int) -> bool:
         if d == bound:

@@ -100,17 +100,25 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         for g in divisors:
             if g.ring != f.ring:
                 raise RingMismatch(f"{f.ring} vs {g.ring}")
-    engine = _IncrementalGroebner(f.ring)
+    return reducer(f.ring, divisors)(f)
+
+
+def reducer(ring: PolynomialRing, divisors):
+    """`normal_form` modulo the nonzero ``divisors``, as one function of f
+    in ``ring`` whose engine is loaded once for every call."""
+    engine = _IncrementalGroebner(ring)
     for g in divisors:
         engine._load(engine._integral(g)[0])
-    work, denominator = engine._integral(f)
-    remainder = engine.reduce(engine._pack_terms(work))
-    up, down = engine.last_scale
-    scalar = f.ring.field.from_pair
-    return _from_dict(
-        f.ring,
-        {e: scalar(v * down, denominator * up) for e, v in remainder.items()},
-    )
+
+    def remainder(f: Polynomial) -> Polynomial:
+        work, denominator = engine._integral(f)
+        reduced = engine.reduce(engine._pack_terms(work))
+        up, down = engine.last_scale
+        scalar = ring.field.from_pair
+        return _from_dict(
+            ring, {e: scalar(v * down, denominator * up) for e, v in reduced.items()})
+
+    return remainder
 
 
 # ---------------------------------------------------------------------------

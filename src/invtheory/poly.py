@@ -7,9 +7,12 @@ order) are interchangeable.  Everything is immutable and hashable.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import RingMismatch
 from .fields import Field, QQ
@@ -128,12 +131,23 @@ class PolynomialRing:
         """All monomials of the given total degree, leading-first."""
         if degree < 0:
             return []
-        exps = _compositions(degree, self.n)
-        exps.sort(key=self.order.key, reverse=True)
-        return [Monomial(e) for e in exps]
+        return list(_monomial_basis(self.n, self.order, degree))
 
     def __str__(self) -> str:
         return f"{self.field}[{', '.join(self.names)}]"
+
+
+@lru_cache(maxsize=2)  # a degree sweep asks for degrees d and d + 1 in turn
+def _monomial_basis(n: int, order: TermOrder, degree: int) -> tuple[Monomial, ...]:
+    """The degree-d monomials leading-first.  `_compositions` lists their
+    exponents in descending lex order; reversed, with each tuple reversed,
+    they run in descending grevlex."""
+    exps = _compositions(degree, n)
+    if order.kind == "grevlex":
+        exps = [e[::-1] for e in reversed(exps)]
+    else:
+        exps.sort(key=order.key, reverse=True)
+    return tuple(map(Monomial, exps))
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -161,10 +175,45 @@ def support_mask(exp: tuple[int, ...]) -> int:
     return mask
 
 
+def _packing(n: int, top: int):
+    """(pack, unpack) between ints and n-exponent tuples with entries at most
+    ``top``, exponent v in the v-th field of top.bit_length() bits from the
+    low end, so that sums up to top carry nothing."""
+    width = top.bit_length()
+    shifts, mask = range(0, width * n, width), (1 << width) - 1
+    return (lambda e: sum(map(operator.lshift, e, shifts)),
+            lambda h: tuple(h >> s & mask for s in shifts))
+
+
+def _packed_integral(terms, pack) -> tuple[list[tuple[int, int]], int]:
+    """(packed exponents, integer coefficient) over the lcm of the
+    denominators, and that lcm; an F_p scalar is its own numerator over 1."""
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return [(pack(exp), c.numerator * (den // c.denominator)) for exp, c in terms], den
+
+
+def _accumulate(acc: dict, terms, field, scale=None) -> None:
+    """acc += scale * terms, on exponent -> coefficient dicts."""
+    for exp, coeff in terms:
+        if scale is not None:
+            coeff = field.mul(scale, coeff)
+        acc[exp] = field.add(acc[exp], coeff) if exp in acc else coeff
+
+
 def _from_dict(ring: PolynomialRing, acc: dict) -> "Polynomial":
+    """The nonzero terms of an exponent -> coefficient dict, sorted
+    leading-first.  Grevlex sorts ascending on the reversed exponents, then
+    stably descending on the degree, and lex descending on the exponents;
+    only elimination orders need the order's key."""
     is_zero = ring.field.is_zero
     items = [(e, c) for e, c in acc.items() if not is_zero(c)]
-    items.sort(key=lambda t: ring.order.key(t[0]), reverse=True)
+    if ring.order.kind == "grevlex":
+        items.sort(key=lambda t: t[0][::-1])
+        items.sort(key=lambda t: sum(t[0]), reverse=True)
+    elif ring.order.kind == "lex":
+        items.sort(key=operator.itemgetter(0), reverse=True)
+    else:
+        items.sort(key=lambda t: ring.order.key(t[0]), reverse=True)
     return Polynomial(ring, tuple(items))
 
 
@@ -283,28 +332,28 @@ class Polynomial:
                 other = self.ring.monomial(other)
             else:
                 try:
-                    c = self.ring.field.coerce(other)
+                    other = self.ring.constant(other)
                 except TypeError:
                     return NotImplemented
-                field = self.ring.field
-                if field.is_zero(c):
-                    return self.ring.zero()
-                return Polynomial(
-                    self.ring, tuple((e, field.mul(c, k)) for e, k in self.terms)
-                )
         self._check(other)
-        field = self.ring.field
-        add, mul, is_zero = field.add, field.mul, field.is_zero
-        acc: dict[tuple[int, ...], object] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                prod = mul(ca, cb)
-                if exp in acc:
-                    acc[exp] = add(acc[exp], prod)
-                else:
-                    acc[exp] = prod
-        return _from_dict(self.ring, acc)
+        ring = self.ring
+        short, long = sorted((self.terms, other.terms), key=len)
+        if len(short) < 2:  # a term times a polynomial keeps its order
+            mul = ring.field.mul
+            return Polynomial(ring, tuple((tuple(map(operator.add, e, m)), mul(k, c))
+                                          for m, c in short for e, k in long))
+        pack, unpack = _packing(ring.n, self.degree() + other.degree())
+        a, den_a = _packed_integral(short, pack)
+        b, den_b = _packed_integral(long, pack)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ha, ca in a:
+            for hb, cb in b:
+                h = ha + hb
+                acc[h] = get(h, 0) + ca * cb
+        p, den = ring.field.p, den_a * den_b
+        scalar = (lambda c: c % p) if p else (lambda c: Fraction(c, den))
+        return _from_dict(ring, dict(zip(map(unpack, acc), map(scalar, acc.values()))))
 
     __rmul__ = __mul__
 
@@ -376,14 +425,14 @@ def substitute(f: Polynomial, images: list[Polynomial]) -> Polynomial:
             cache[e] = sq if e % 2 == 0 else sq * images[i]
         return cache[e]
 
-    total = target.zero()
+    acc: dict[tuple[int, ...], object] = {}
     for exp, coeff in f.terms:
         term = target.constant(coeff)
         for i, e in enumerate(exp):
             if e:
                 term = term * image_power(i, e)
-        total = total + term
-    return total
+        _accumulate(acc, term.terms, target.field)
+    return _from_dict(target, acc)
 
 
 # -- printing ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import (
     NonZeroCharacteristic,
     RingMismatch,
 )
-from .groebner import buchberger, degree_sweep, elimination_ideal, normal_form
+from .groebner import buchberger, degree_sweep, elimination_ideal, reducer
 from .linalg import nullspace
 from .poly import (
     Polynomial,
@@ -107,8 +107,8 @@ def _minimal_generators(polys: list[Polynomial]) -> list[Polynomial]:
 
 def _expansion(action: LinearlyReductiveAction):
     """Ring Q[z, x] (grevlex), the image of each x_i under the generic group
-    element, and the Groebner basis of the group ideal in that ring; built
-    once per action."""
+    element, and the remainder modulo the Groebner basis of the group ideal
+    in that ring; built once per action."""
     if action._expansion is None:
         gring, tring = action.group_ring, action.target_ring
         m = gring.n
@@ -123,7 +123,7 @@ def _expansion(action: LinearlyReductiveAction):
                     img = img + _embed(entry, combined, 0) * combined.variable(m + j)
             images.append(img)
         basis = buchberger([_embed(f, combined, 0) for f in action.group_ideal])
-        action._expansion = (combined, images, basis)
+        action._expansion = (combined, images, reducer(combined, basis.elements))
     return action._expansion
 
 
@@ -179,13 +179,13 @@ def reductive_invariant_basis(action: LinearlyReductiveAction, degree: int) -> l
     monos = tring.monomial_basis(degree)
     if not monos:
         return []
-    combined, images, group_basis = _expansion(action)
+    combined, images, remainder = _expansion(action)
     m = action.group_ring.n
     rows_map: dict = {}
     for col, mono in enumerate(monos):
         shifted = combined.monomial((0,) * m + mono.exponents)
         moved = substitute(tring.monomial(mono.exponents), images) - shifted
-        for exp, coeff in normal_form(moved, group_basis).terms:
+        for exp, coeff in remainder(moved).terms:
             rows_map.setdefault(exp, {})[col] = coeff
     # One row per surviving term, in the order met (the kernel does not depend
     # on it); duplicates are dropped while sparse, hashing only nonzero entries.
