@@ -12,6 +12,9 @@ Two solvers compute it.  A degree-graded congruence sieve handles actions
 with no torus, and literal GF(q) mode, where the torus rows become
 congruences mod q-1.  Every other action is one Contejean-Devie completion
 in which each cyclic row is an equation in a slack variable of its own.
+Both keep exponent vectors packed into one int each and test a vector
+against every accepted one at once with `poly.Staircase`, the Groebner
+engine's divisibility test.
 """
 
 from __future__ import annotations
@@ -20,7 +23,18 @@ import math
 import operator
 
 from .errors import DimensionMismatch, RingMismatch, RootOfUnityUnavailable
-from .poly import Monomial, Polynomial, PolynomialRing, support_mask
+from .poly import Monomial, Polynomial, PolynomialRing, Staircase, _packing
+
+
+def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
+    """``values`` as ints; a ValueError if one is not integral or below ``least``."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or int(v) != v:
+            raise ValueError(f"{what} must be integral, got {v!r}")
+        if least is not None and v < least:
+            raise ValueError(f"{what} must be at least {least}")
+    return tuple(map(int, values))
 
 
 class DiagonalAction:
@@ -29,13 +43,9 @@ class DiagonalAction:
 
     def __init__(self, ring: PolynomialRing, torus_rank: int, cyclic_orders, weights):
         self.ring = ring
-        self.torus_rank = int(torus_rank)
-        self.cyclic_orders = tuple(int(d) for d in cyclic_orders)
-        rows = tuple(tuple(int(w) for w in row) for row in weights)
-        if self.torus_rank < 0:
-            raise ValueError("torus rank must be non-negative")
-        if any(d < 2 for d in self.cyclic_orders):
-            raise ValueError("cyclic orders must be at least 2")
+        (self.torus_rank,) = _integers((torus_rank,), "torus rank", 0)
+        self.cyclic_orders = _integers(cyclic_orders, "cyclic orders", 2)
+        rows = tuple(_integers(row, "weights") for row in weights)
         expected = self.torus_rank + len(self.cyclic_orders)
         if len(rows) != expected:
             raise DimensionMismatch(
@@ -84,29 +94,8 @@ def is_invariant_exponent(action: DiagonalAction, exponents, literal_q: int | No
     return True
 
 
-# ---------------------------------------------------------------------------
-# shared pieces: unit vectors and the domination test
-# ---------------------------------------------------------------------------
-
-
-def _units(n: int) -> list[tuple[int, ...]]:
-    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-
 def _by_degree(vec: tuple[int, ...]):
     return (sum(vec), vec)
-
-
-def _dominates(vec: tuple[int, ...], found) -> bool:
-    """Whether vec lies componentwise above some vector of ``found``, a list
-    of (support mask, vector) pairs.  A vector using a variable outside vec's
-    support cannot lie below it, so the mask test rejects it before the
-    exponents are compared."""
-    outside = ~support_mask(vec)
-    for mask, low in found:
-        if not mask & outside and all(map(operator.le, low, vec)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -124,32 +113,49 @@ def _congruence_generators(moduli, rows, n: int) -> list[tuple[int, ...]]:
     from its last nonzero one on, so each vector has exactly one parent, and
     that parent is on the previous level: it has no accepted divisor either,
     and it is not weight-zero, since the vector would then lie above it.
+
+    The moduli must be positive.  Vectors are packed ints in fields of
+    (L + 1).bit_length() + 1 bits, L = lcm(moduli), and never reach a guard
+    bit: column j has some order o_j dividing L in the group of residues, so
+    o_j e_j is weight-zero and accepted on level o_j; a survivor's entry j
+    thus stays below o_j, and a visited vector's entry j is at most o_j.
+    A vector's row weights are packed too, as sums below n L max(moduli)
+    that are reduced mod each modulus only when the vector is tested.
     """
-    rows = [tuple(w % d for w in row) for row, d in zip(rows, moduli)]
-    accepted: list = []
-    level = list(zip(_units(n), range(n)))  # (vector, its last nonzero index)
+    top = math.lcm(*moduli)
+    width = (top + 1).bit_length() + 1
+    units = [1 << (width * j) for j in range(n)]
+    span = (n * top * max(moduli, default=1)).bit_length()
+    columns = [sum(row[j] % d << (span * r) for r, (row, d) in enumerate(zip(rows, moduli)))
+               for j in range(n)]
+    tests = [(span * r, d) for r, d in enumerate(moduli)]
+    mask = (1 << span) - 1
+    stairs = Staircase(n, width)  # the accepted vectors
+    divisors = stairs.divisors
+    level = list(zip(units, columns, range(n)))  # (vector, row weights, last nonzero index)
     while level:
         survivors = []
-        for vec, last in level:
-            if all(sum(map(operator.mul, row, vec)) % d == 0
-                   for row, d in zip(rows, moduli)):
-                accepted.append((support_mask(vec), vec))
+        for vec, weights, last in level:
+            for shift, d in tests:
+                if (weights >> shift & mask) % d:
+                    survivors.append((vec, weights, last))
+                    break
             else:
-                survivors.append((vec, last))
+                stairs.add(vec)
         level = []
-        for vec, last in survivors:
-            for i in range(last, n):
-                grown = vec[:i] + (vec[i] + 1,) + vec[i + 1:]
-                if not _dominates(grown, accepted):
-                    level.append((grown, i))
-    return sorted((vec for _, vec in accepted), key=_by_degree)
+        for vec, weights, last in survivors:
+            for j in range(last, n):
+                grown = vec + units[j]
+                if not divisors(grown):
+                    level.append((grown, weights + columns[j], j))
+    return sorted(map(_packing(n, (1 << width) - 1)[1], stairs.held), key=_by_degree)
 
 
 def abelian_generators(cyclic_orders, cyclic_weights) -> list[Monomial]:
     """Minimal monomial generators for a finite abelian diagonal action given
     by congruence rows (one per cyclic factor)."""
-    cyclic_orders = [int(d) for d in cyclic_orders]
-    rows = [tuple(int(w) for w in row) for row in cyclic_weights]
+    cyclic_orders = _integers(cyclic_orders, "cyclic orders", 2)
+    rows = [_integers(row, "weights") for row in cyclic_weights]
     if len(rows) != len(cyclic_orders):
         raise DimensionMismatch("one weight row per cyclic order is required")
     if not rows:
@@ -175,7 +181,7 @@ def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
     removes a column; the remaining columns are solved by `_completion` and
     the zeros put back.
     """
-    vectors = [tuple(int(w) for w in v) for v in weight_vectors]
+    vectors = [_integers(v, "weights") for v in weight_vectors]
     k = len(vectors)
     if k == 0:
         return []
@@ -183,7 +189,7 @@ def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
     if any(len(v) != r for v in vectors):
         raise DimensionMismatch("weight vectors differ in length")
     if r == 0:
-        return _units(k)  # every unit solves; kept in index order, not sorted
+        return [tuple(int(i == j) for j in range(k)) for i in range(k)]  # index order
     live = list(range(k))
     pruned = True
     while pruned:
@@ -203,7 +209,7 @@ def torus_hilbert_basis(weight_vectors) -> list[tuple[int, ...]]:
     return sorted(basis, key=_by_degree)
 
 
-def _completion(vectors) -> list[tuple[int, ...]]:
+def _completion(vectors, width: int = 16) -> list[tuple[int, ...]]:
     """Contejean-Devie completion over all rows at once (Inf. Comput. 1994):
     starting from the unit vectors, c grows by e_i only when the running
     total W c points against v_i, <W c, v_i> < 0; anything lying above an
@@ -211,32 +217,47 @@ def _completion(vectors) -> list[tuple[int, ...]]:
     accepted.  Below any minimal solution s, a partial c has
     <W c, W (s - c)> = -|W c|^2 < 0, so some such step stays below s and the
     sweep is complete; Contejean and Devie show that it terminates.
+
+    c is a packed int in fields of ``width`` bits; a step that would set a
+    guard bit restarts the completion with the fields doubled.  c carries
+    its dot products <W c, v_j> with every column and |W c|^2, so both
+    tests are O(1).  With the Gram matrix G_ij = <v_i, v_j>, growing c by
+    e_i adds row i of G to the dot products and 2 <W c, v_i> + G_ii to the
+    squared norm, and W c = 0 exactly when |W c|^2 = 0.
     """
-    solutions: list = []
-    frontier: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for unit, v in zip(_units(len(vectors)), vectors):
-        if any(v):
-            frontier[unit] = v
+    k = len(vectors)
+    gram = [tuple(sum(map(operator.mul, v, u)) for u in vectors) for v in vectors]
+    units = [1 << (width * j) for j in range(k)]
+    stairs = Staircase(k, width)  # the solutions
+    guard, divisors = stairs.guard, stairs.divisors
+    frontier = {}  # packed c -> (its dot products, its squared norm)
+    for unit, row, norm in zip(units, gram, map(operator.getitem, gram, range(k))):
+        if norm:
+            frontier[unit] = (row, norm)
         else:
-            solutions.append((support_mask(unit), unit))
+            stairs.add(unit)
     while frontier:
-        grown_level: dict[tuple[int, ...], tuple[int, ...]] = {}
+        grown_level = {}
         fresh = set()
-        for vec, total in frontier.items():
-            for i, v in enumerate(vectors):
-                if sum(map(operator.mul, total, v)) >= 0:
+        for vec, (dots, norm) in frontier.items():
+            for i, dot in enumerate(dots):
+                if dot >= 0:
                     continue
-                grown = vec[:i] + (vec[i] + 1,) + vec[i + 1:]
-                if grown in grown_level or grown in fresh or _dominates(grown, solutions):
+                grown = vec + units[i]
+                if grown & guard:
+                    return _completion(vectors, 2 * width)
+                if grown in grown_level or grown in fresh or divisors(grown):
                     continue
-                new_total = tuple(map(operator.add, total, v))
-                if any(new_total):
-                    grown_level[grown] = new_total
+                row = gram[i]
+                grown_norm = norm + 2 * dot + row[i]
+                if grown_norm:
+                    grown_level[grown] = (tuple(map(operator.add, dots, row)), grown_norm)
                 else:
                     fresh.add(grown)
-        solutions.extend((support_mask(vec), vec) for vec in fresh)
+        for vec in fresh:
+            stairs.add(vec)
         frontier = grown_level
-    return [vec for _, vec in solutions]
+    return list(map(_packing(k, (1 << width) - 1)[1], stairs.held))
 
 
 # ---------------------------------------------------------------------------

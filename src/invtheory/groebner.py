@@ -20,11 +20,12 @@ same way.  Every order here has a key linear in the exponents, so a product
 of monomials is one integer addition and packed monomials compare as their
 keys do.  A lead divides a monomial when subtracting it from the monomial
 with every guard bit set clears none of them; the leads sit side by side in
-one integer, so one subtraction tests them all.  The fields start narrow.
-An input, S-polynomial or reduction step that would set a guard bit makes
-the engine double the width, repack what it holds and redo the call, so
-exponents are unbounded.  Polynomials and the engine's calls from outside
-keep exponent tuples; the engine converts on entry and exit.
+one integer, so one subtraction tests them all (`poly.Staircase`, which the
+diagonal solvers share).  The fields start narrow.  An input, S-polynomial
+or reduction step that would set a guard bit makes the engine double the
+width, repack what it holds and redo the call, so exponents are unbounded.
+Polynomials and the engine's calls from outside keep exponent tuples; the
+engine converts on entry and exit.
 
 One reducer serves both fields with one integer pseudo-reduction loop.
 Each step scales the work by lead/gcd(coeff, lead) and subtracts
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InhomogeneousTruncation, OrderMismatch, RingMismatch
-from .poly import Polynomial, PolynomialRing, _from_dict, support_mask
+from .poly import Polynomial, PolynomialRing, Staircase, _from_dict, support_mask
 from .orders import TermOrder
 
 
@@ -160,7 +161,6 @@ class _IncrementalGroebner:
         compare as their keys do; H(e) = sum_v e_v H(unit_v)."""
         n = self.n
         self.width = width
-        self.guard = sum(1 << (width * v + width - 1) for v in range(n))
         key_width = width + n.bit_length()
         self._units = []
         for v in range(n):
@@ -168,12 +168,9 @@ class _IncrementalGroebner:
             for part in self.ring.order.key(tuple(int(u == v) for u in range(n))):
                 key = (key << key_width) + part
             self._units.append((key << (width * n)) + (1 << (width * v)))
-        # The exponent parts of all leads side by side, one slot of
-        # n width + 1 bits per lead; see `_divisors`.
-        self._low = (1 << (width * n)) - 1
-        self._slot = width * n + 1
-        self._rep = self._bulk = self._guards = self._slot_tops = self._fill = 0
-        self._lead_h: list[int] = []
+        self._stairs = Staircase(n, width)  # the exponent parts of the leads
+        self.guard = self._stairs.guard
+        self._lead_h = self._stairs.held  # the packed leads
         self._tails: list[dict] = []  # the element without its lead, packed
         self._ceilings: list[int] = []  # the packed componentwise max exponent
         for work in self.elements:
@@ -206,13 +203,7 @@ class _IncrementalGroebner:
         """Hold the element ``work`` packed as well; ``packed`` maps each of
         its monomials, packed, to its exponent."""
         lead_h = max(packed)
-        at = self._slot * len(self._lead_h)
-        self._rep += 1 << at
-        self._bulk += (lead_h & self._low) << at
-        self._guards = self.guard * self._rep
-        self._slot_tops = self._rep << (self._slot - 1)
-        self._fill = self._slot_tops - self._guards
-        self._lead_h.append(lead_h)
+        self._stairs.add(lead_h)
         self._tails.append({h: work[e] for h, e in packed.items() if h != lead_h})
         self._ceilings.append(self._pack(tuple(map(max, zip(*work)))))
 
@@ -253,15 +244,6 @@ class _IncrementalGroebner:
 
     # -- reduction -----------------------------------------------------------
 
-    def _divisors(self, h: int) -> int:
-        """The leads dividing the packed monomial h: bit slot k + slot - 1
-        for lead k.  h with its guard bits G set, copied into every slot,
-        minus the leads keeps a guard bit where h's exponent is at least the
-        lead's; adding 2^(n width) - G per slot carries into the slot's top
-        bit exactly when all of G survive."""
-        kept = ((h & self._low | self.guard) * self._rep - self._bulk) & self._guards
-        return kept + self._fill & self._slot_tops
-
     def reduce(self, work: dict) -> dict:
         """Full normal form of packed terms (`_to_internal`'s output) in
         internal arithmetic, keyed by exponent tuples: up/down times the
@@ -284,7 +266,7 @@ class _IncrementalGroebner:
         so the scale is 1 and up = down = 1.  A term enters the heap once:
         ``work`` keeps a term that cancels, at 0, until it is popped."""
         p = self.p
-        guard, slot, divisors = self.guard, self._slot, self._divisors
+        guard, slot, divisors = self.guard, self._stairs.slot, self._stairs.divisors
         leads, tails, ceilings = self.leads, self._tails, self._ceilings
         push, pop = heapq.heappush, heapq.heappop
         work = dict(work)
@@ -339,8 +321,9 @@ class _IncrementalGroebner:
     # -- basis growth -----------------------------------------------------------
 
     def lead_divides(self, exp: tuple[int, ...]) -> bool:
-        self._fit((exp,))
-        return bool(self._divisors(self._pack(exp)))
+        if max(exp, default=0) >> (self.width - 1):
+            self._fit((exp,))
+        return bool(self._stairs.divisors(self._pack(exp)))
 
     def _push_pairs(self, new_index: int) -> None:
         """Queue the pairs (i, new_index).  The sugar of a pair is
@@ -435,11 +418,11 @@ class _IncrementalGroebner:
         """Buchberger's chain criterion: some other lead divides the packed
         lcm and both of its pairs with i and j are already treated.  Coprime
         pairs, never queued, count as treated."""
-        found = self._divisors(lcm)
+        found = self._stairs.divisors(lcm)
         while found:
             bit = found & -found
             found ^= bit
-            k = bit.bit_length() // self._slot - 1
+            k = bit.bit_length() // self._stairs.slot - 1
             if k == i or k == j:
                 continue
             pair_ik = (min(i, k), max(i, k))

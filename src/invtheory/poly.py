@@ -163,16 +163,51 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 
 def support_mask(exp: tuple[int, ...]) -> int:
-    """Bitmask of the variables that occur in an exponent vector.  A vector
-    lies componentwise below another only if its mask is a subset of the
-    other's (short exponent vectors, Bachmann & Schoenemann 1998), so the
-    mask test rejects most divisibility candidates before the exponents are
-    compared."""
+    """Bitmask of the variables that occur in an exponent vector (short
+    exponent vectors, Bachmann & Schoenemann 1998): two monomials are
+    coprime exactly when their masks are disjoint."""
     mask = 0
     for v, a in enumerate(exp):
         if a:
             mask |= 1 << v
     return mask
+
+
+class Staircase:
+    """Packed n-vectors held side by side in one int, so that one vector is
+    tested against all of them at once (Bachmann & Schoenemann 1998).
+
+    A vector packs into n fields of ``width`` bits, entry v in field v from
+    the low end, each field's top bit a guard bit: every entry must stay
+    below 2^(width - 1).  The vectors held sit in slots of n width + 1 bits.
+    `divisors` copies h with its guard bits G set into every slot and
+    subtracts the vectors held, so no field borrows and a guard bit survives
+    where h's entry is at least the held one's; adding 2^(n width) - G per
+    slot carries into the slot's top bit exactly when all of G survive.
+    Bits of h above its n fields are ignored; ``held`` lists the vectors as
+    added."""
+
+    def __init__(self, n: int, width: int):
+        self.slot = width * n + 1
+        self.low = (1 << (width * n)) - 1
+        self.guard = sum(1 << (width * v + width - 1) for v in range(n))
+        self.rep = self.bulk = self.guards = self.tops = self.fill = 0
+        self.held: list[int] = []
+
+    def add(self, h: int) -> None:
+        at = self.slot * len(self.held)
+        self.held.append(h)
+        self.rep += 1 << at
+        self.bulk += (h & self.low) << at
+        self.guards = self.guard * self.rep
+        self.tops = self.rep << (self.slot - 1)
+        self.fill = self.tops - self.guards
+
+    def divisors(self, h: int) -> int:
+        """The held vectors lying componentwise below h, the k-th added as
+        bit (k + 1) slot - 1."""
+        kept = ((h & self.low | self.guard) * self.rep - self.bulk) & self.guards
+        return kept + self.fill & self.tops
 
 
 def _packing(n: int, top: int):

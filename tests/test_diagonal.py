@@ -23,6 +23,7 @@ from invtheory import (
     reynolds_diagonal,
     torus_hilbert_basis,
 )
+from invtheory.diagonal import _completion
 from test_acceptance import enumerate_invariant_vectors, minimal_vectors
 
 R4 = polynomial_ring(QQ, ("x_1", "x_2", "x_3", "x_4"))
@@ -83,6 +84,50 @@ def test_abelian_generators_examples():
     assert [m.exponents for m in abelian_generators([2], [[1, 1]])] == [(0, 2), (1, 1), (2, 0)]
     assert sorted(m.exponents for m in abelian_generators([3], [[1, 2]])) == [(0, 3), (1, 1), (3, 0)]
     assert [m.exponents for m in abelian_generators([2], [[0, 1]])] == [(1, 0), (0, 2)]
+
+
+def test_non_integral_weights_and_orders_are_rejected():
+    # an error, not a truncation: [[1.5, -1]] must not act as [[1, -1]]
+    with pytest.raises(ValueError, match="integral"):
+        DiagonalAction(R2, 1, [], [[1.5, -1]])
+    with pytest.raises(ValueError, match="integral"):
+        DiagonalAction(R2, 0, [2.5], [[1, 1]])
+    with pytest.raises(ValueError, match="integral"):
+        torus_hilbert_basis([(1.5,), (-1,)])
+    with pytest.raises(ValueError, match="integral"):
+        abelian_generators([3], [[Fraction(1, 2), 1]])
+    with pytest.raises(ValueError, match="integral"):
+        abelian_generators([3.5], [[1, 1]])
+    # integral values of other numeric types still count
+    assert torus_hilbert_basis([(2.0,), (Fraction(-1),)]) == [(1, 2)]
+    action = DiagonalAction(R2, 1, [], [[2.0, -2]])
+    assert [m.exponents for m in diagonal_invariants(action)] == [(1, 1)]
+
+
+def test_abelian_generators_reject_orders_below_two():
+    # the sieve's residue fields need positive moduli, and order 1 is trivial
+    for d in (0, 1, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            abelian_generators([d], [[1, 1]])
+
+
+def test_packed_fields_hold_large_entries():
+    # the sieve sizes its fields from lcm(moduli); the completion starts at
+    # 16-bit fields and widens when an entry reaches 2^15
+    got = [m.exponents for m in abelian_generators([300], [[1, 299]])]
+    assert got == plain_congruence_sieve([300], [[1, 299]], 2)
+    assert torus_hilbert_basis([(1,), (-40000,)]) == [(40000, 1)]
+
+
+def test_completion_that_widens_mid_run_matches_brute_force_oracle():
+    # 3-bit fields hold entries up to 3, so the completion restarts with
+    # wider fields partway through; the basis has entries up to 11
+    torus = [[5, -3, 1, -2], [1, 0, -2, 1]]
+    columns = list(zip(*torus))
+    got = sorted(_completion(columns, width=3), key=lambda v: (sum(v), v))
+    assert max(map(max, got)) > 3
+    assert got == torus_hilbert_basis(columns)
+    assert_matches_brute_force_oracle(mixed_action(torus, [], []), got)
 
 
 def test_abelian_generators_against_brute_force():
@@ -417,8 +462,8 @@ def test_mixed_action_with_many_abelian_generators():
 
 
 def test_mixed_actions_with_two_cyclic_factors():
-    # on a 2-core Xeon VM these take 2-3 s and 1 s; a torus completion over
-    # the abelian generators does not finish either in 30 s
+    # on a 2-core Xeon VM these take about 1 s and 0.5 s; a torus completion
+    # over the abelian generators does not finish either in 30 s
     draws = [
         ([[-1, -2, -2, 3], [1, 2, 0, -2]], [5, 3], [[1, 4, 4, 1], [1, 1, 0, 0]]),
         ([[-1, -1, 2, 0], [3, -2, 3, 3]], [6, 3], [[2, 3, 5, 4], [2, 2, 1, 0]]),
@@ -434,8 +479,8 @@ def test_mixed_actions_with_two_cyclic_factors():
 def test_rows_of_one_sign_set_their_columns_aside():
     # a row whose entries over the remaining columns all have one sign makes
     # every column where it is nonzero 0 in each solution; the completion
-    # over all columns took 2.4-5.3 s on a 2-core Xeon VM for each of the first
-    # three, whose answer is empty
+    # over all columns takes 1.1-1.4 s on a 2-core Xeon VM for each of the
+    # first three, whose answer is empty
     cases = [
         (([[4, 4, -3, -1], [0, 1, 1, 3]], [24], [[6, 3, 20, 0]]), []),
         (([[1, 1, 1]], [24], [[15, 5, 21]]), []),
