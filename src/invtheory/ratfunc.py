@@ -278,10 +278,14 @@ def _as_ratfunc(value) -> RationalFunction:
 
 def rational_function_sum(terms) -> RationalFunction:
     """Exact sum of an iterable of (numerator, denominator) pairs or
-    RationalFunction values."""
-    total = RationalFunction(UniPoly.zero(), UniPoly.one())
+    RationalFunction values, taken over the lcm of the reduced denominators
+    and reduced once."""
+    numerators: dict[UniPoly, UniPoly] = {}
     for term in terms:
-        if isinstance(term, tuple):
-            term = RationalFunction(term[0], term[1])
-        total = total + _as_ratfunc(term)
-    return total
+        term = RationalFunction(term[0], term[1]) if isinstance(term, tuple) else _as_ratfunc(term)
+        numerators[term.den] = numerators.get(term.den, UniPoly.zero()) + term.num
+    common = UniPoly.one()
+    for den in numerators:
+        common = common * den.exact_div(common.gcd(den))
+    total = sum((num * common.exact_div(den) for den, num in numerators.items()), UniPoly.zero())
+    return RationalFunction(total, common)

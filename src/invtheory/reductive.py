@@ -3,13 +3,18 @@
 The group is the vanishing locus of an ideal in Q[z_1..z_m] and acts on
 Q[x_1..x_n] through an n x n matrix of polynomials in the z's: the variable
 x_i is sent to the linear form given by row i.  Two routes to the invariants
-are provided.  Elimination of the group variables from the graph of the
+are provided (Derksen, *Computation of invariants for reductive groups*,
+Adv. Math. 1999).  Elimination of the group variables from the graph of the
 action yields the Hilbert ideal; a degree-by-degree linear solve modulo the
 group ideal yields an invariant vector-space basis, and sweeping degrees up
-to the top Hilbert-ideal degree produces minimal algebra generators.
+to the top Hilbert-ideal degree produces minimal algebra generators.  The
+solve builds each reduced sigma(m) from the degree below
+(`groebner.SubstitutionRemainders`), never expanding sigma(m) afresh.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (
     DimensionMismatch,
@@ -18,15 +23,9 @@ from .errors import (
     NonZeroCharacteristic,
     RingMismatch,
 )
-from .groebner import buchberger, degree_sweep, elimination_ideal, reducer
+from .groebner import SubstitutionRemainders, buchberger, degree_sweep, elimination_ideal
 from .linalg import nullspace
-from .poly import (
-    Polynomial,
-    PolynomialRing,
-    fresh_names,
-    polynomial_ring,
-    substitute,
-)
+from .poly import Polynomial, PolynomialRing, fresh_names, polynomial_ring
 
 
 class LinearlyReductiveAction:
@@ -107,8 +106,8 @@ def _minimal_generators(polys: list[Polynomial]) -> list[Polynomial]:
 
 def _expansion(action: LinearlyReductiveAction):
     """Ring Q[z, x] (grevlex), the image of each x_i under the generic group
-    element, and the remainder modulo the Groebner basis of the group ideal
-    in that ring; built once per action."""
+    element, and the `SubstitutionRemainders` of those images modulo the
+    group ideal's Groebner basis there; built once per action."""
     if action._expansion is None:
         gring, tring = action.group_ring, action.target_ring
         m = gring.n
@@ -123,7 +122,8 @@ def _expansion(action: LinearlyReductiveAction):
                     img = img + _embed(entry, combined, 0) * combined.variable(m + j)
             images.append(img)
         basis = buchberger([_embed(f, combined, 0) for f in action.group_ideal])
-        action._expansion = (combined, images, reducer(combined, basis.elements))
+        action._expansion = (combined, images, SubstitutionRemainders(
+            combined, basis.elements, images))
     return action._expansion
 
 
@@ -169,38 +169,42 @@ def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
 def reductive_invariant_basis(action: LinearlyReductiveAction, degree: int) -> list[Polynomial]:
     """Reduced-echelon basis of the invariant polynomials of the given degree.
 
-    Expands sigma(m) - m in Q[z, x] for every degree-`degree` monomial m
-    with `substitute`, takes its normal form modulo the group ideal there,
-    and solves the linear system expressing that every surviving term
-    vanishes.  The group basis has leads in z alone, so reduction keeps each
-    term's x-part and the solution does not depend on the group ring's order.
+    Takes c_m (sigma(m) - m), c_m > 0, modulo the group ideal in Q[z, x] for
+    every degree-`degree` monomial m, and solves the integer system saying
+    that every surviving term vanishes.  The group basis has leads in z
+    alone, so reduction keeps each term's x-part and the solution does not
+    depend on the group ring's order.
     """
     tring = action.target_ring
     monos = tring.monomial_basis(degree)
     if not monos:
         return []
-    combined, images, remainder = _expansion(action)
-    m = action.group_ring.n
-    rows_map: dict = {}
-    for col, mono in enumerate(monos):
-        shifted = combined.monomial((0,) * m + mono.exponents)
-        moved = substitute(tring.monomial(mono.exponents), images) - shifted
-        for exp, coeff in remainder(moved).terms:
-            rows_map.setdefault(exp, {})[col] = coeff
-    # One row per surviving term, in the order met (the kernel does not depend
-    # on it); duplicates are dropped while sparse, hashing only nonzero entries.
-    zero = tring.field.zero()
+    columns = _expansion(action)[2](degree)
     width = len(monos)
-    rows = [tuple(row.get(col, zero) for col in range(width)) for row in
-            map(dict, dict.fromkeys(tuple(r.items()) for r in rows_map.values()))]
-    kernel = nullspace(rows, width, tring.field)
+    rows_map: dict = {}
+    scales = []
+    for col, mono in enumerate(monos):
+        terms, scale = columns[mono.exponents]
+        scales.append(scale)
+        for h, v in terms.items():
+            row = rows_map.get(h)
+            if row is None:
+                row = rows_map[h] = [0] * width
+            row[col] = v
+    # One row per surviving term, in the order met (the kernel does not depend
+    # on it), made primitive with a positive first entry and without repeats.
+    rows: dict = {}
+    for row in rows_map.values():
+        content = math.gcd(*row) * (1 if next(filter(None, row)) > 0 else -1)
+        rows[tuple(row) if content == 1 else tuple([v // content for v in row])] = None
     basis = []
-    for vec in kernel:
-        acc: dict = {}
-        for col, coeff in enumerate(vec):
-            if not tring.field.is_zero(coeff):
-                acc[monos[col].exponents] = coeff
-        basis.append(tring.from_terms(acc))
+    # column j is scales[j] times the true one; scaling back keeps the echelon
+    # shape, and dividing by the pivot makes it reduced again
+    for vec in nullspace(list(rows), width, tring.field):
+        vec = [v * c for v, c in zip(vec, scales)]
+        pivot = next(v for v in vec if v)
+        basis.append(tring.from_terms(
+            {monos[col].exponents: v / pivot for col, v in enumerate(vec) if v}))
     return basis
 
 

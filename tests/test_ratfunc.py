@@ -111,3 +111,26 @@ def test_sum_agrees_with_termwise_series():
         total = rational_function_sum(terms)
         expect = [sum(col) for col in zip(*(RationalFunction(n, d).series_coefficients(8) for n, d in terms))]
         assert total.series_coefficients(8) == expect
+
+
+def test_sum_equals_the_pairwise_sum():
+    rng = random.Random(29)
+    dens = [ONE - T, ONE + T, T, T * T - T, ONE - UniPoly.t_power(3), UniPoly((2, 0, -1)),
+            UniPoly((3,))]  # T and T^2 - T vanish at 0
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randrange(0, 7)):
+            num = UniPoly(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+                          for _ in range(rng.randrange(0, 4)))  # often zero
+            den = rng.choice(dens) * Fraction(rng.choice((-2, 1, 3)))
+            terms.append((num, den) if rng.random() < 0.5 else RationalFunction(num, den))
+        pairwise = RationalFunction(UniPoly.zero(), ONE)
+        for term in terms:
+            pairwise = pairwise + (RationalFunction(*term) if isinstance(term, tuple) else term)
+        total = rational_function_sum(iter(terms))
+        assert (total.num, total.den) == (pairwise.num, pairwise.den)
+
+
+def test_sum_rejects_a_zero_denominator_among_other_terms():
+    with pytest.raises(ZeroDenominator):
+        rational_function_sum([RationalFunction(ONE, ONE - T), (T, UniPoly.zero()), (ONE, T)])

@@ -1,5 +1,7 @@
 """Tests for linearly reductive actions given by a group ideal and action matrix."""
 
+from fractions import Fraction
+
 import pytest
 
 from invtheory import (
@@ -22,6 +24,7 @@ from invtheory import (
     reductive_invariants,
     substitute,
 )
+from invtheory.linalg import nullspace
 
 GROUP_RING = polynomial_ring(QQ, ("z11", "z12", "z21", "z22"))
 QUADRIC_RING = polynomial_ring(QQ, ("a", "b", "c"))
@@ -219,3 +222,97 @@ def test_binary_cubic_invariants_are_the_discriminant():
     assert [f.monic() for f in gens] == [
         cubic_ring.parse("b^2*c^2-4*a*c^3-4*b^3*d-27*a^2*d^2+18*a*b*c*d").monic()
     ]
+
+
+# ---------------------------------------------------------------------------
+# differential test against the definition
+# ---------------------------------------------------------------------------
+
+
+def definition_basis(action, degree):
+    """Reduced-echelon basis of the degree-`degree` invariants from the
+    definition, over Fractions: the `nullspace` of one row per term that
+    survives in `combined_action_residue` of some monomial."""
+    tring = action.target_ring
+    monos = tring.monomial_basis(degree)
+    if not monos:
+        return []
+    rows = {}
+    for col, mono in enumerate(monos):
+        residue = combined_action_residue(action, tring.monomial(mono.exponents))
+        for exp, coeff in residue.terms:
+            rows.setdefault(exp, [Fraction(0)] * len(monos))[col] = coeff
+    kernel = nullspace(list(rows.values()), len(monos), QQ)
+    return [tring.from_terms({monos[c].exponents: v for c, v in enumerate(vec) if v})
+            for vec in kernel]
+
+
+CUBIC = LinearlyReductiveAction(
+    GROUP_RING, ["z11*z22-z12*z21-1"],
+    [["z11^3", "z11^2*z21", "z11*z21^2", "z21^3"],
+     ["3*z11^2*z12", "z11^2*z22+2*z11*z12*z21", "2*z11*z21*z22+z12*z21^2", "3*z21^2*z22"],
+     ["3*z11*z12^2", "2*z11*z12*z22+z12^2*z21", "z11*z22^2+2*z12*z21*z22", "3*z21*z22^2"],
+     ["z12^3", "z12^2*z22", "z12*z22^2", "z22^3"]],
+    polynomial_ring(QQ, ("a", "b", "c", "d")))
+
+# a circle group with rational entries: x -> s x - t/2 y, y -> 2 t x + s y
+ROTATION_RING = polynomial_ring(QQ, ("x", "y"))
+ROTATION = LinearlyReductiveAction(
+    polynomial_ring(QQ, ("s", "t")), ["s^2+t^2-1"], [["s", "-1/2*t"], ["2*t", "s"]],
+    ROTATION_RING)
+
+
+# the unit ideal: no group element, so every polynomial is invariant
+EMPTY = LinearlyReductiveAction(
+    polynomial_ring(QQ, ("z",)), ["z", "z-1"], [["z", "1"], ["0", "z"]], ROTATION_RING)
+
+
+@pytest.mark.parametrize("action, top", [(SL2, 6), (CUBIC, 4), (ROTATION, 4), (MULT, 4),
+                                         (O2, 4), (TRIVIAL, 3), (EMPTY, 3)])
+def test_invariant_basis_matches_the_definition(action, top):
+    for d in range(-1, top + 1):
+        assert reductive_invariant_basis(action, d) == definition_basis(action, d)
+
+
+def test_invariant_basis_of_a_rational_action():
+    quadric = ROTATION_RING.parse("x^2+1/4*y^2")
+    assert reductive_invariant_basis(ROTATION, 2) == [quadric]
+    assert reductive_invariant_basis(ROTATION, 3) == []
+    assert reductive_invariant_basis(ROTATION, 4) == [quadric * quadric]
+
+
+def test_invariant_basis_of_a_trivial_group_is_every_monomial():
+    ring = polynomial_ring(QQ, ("x", "y", "w"))
+    action = LinearlyReductiveAction(
+        polynomial_ring(QQ, ("z",)), ["z-1"], [["1", "0", "0"], ["0", "1", "0"],
+                                               ["0", "0", "z"]], ring)
+    for d in range(4):
+        assert reductive_invariant_basis(action, d) == [
+            ring.monomial(m) for m in ring.monomial_basis(d)]
+
+
+def test_invariant_basis_in_degree_zero_and_below():
+    for action in (SL2, ROTATION, TRIVIAL):
+        assert reductive_invariant_basis(action, 0) == [action.target_ring.one()]
+        assert reductive_invariant_basis(action, -1) == []
+
+
+def fresh_quadric_action():
+    return LinearlyReductiveAction(
+        GROUP_RING, ["z11*z22-z12*z21-1"], SL2_MATRIX, QUADRIC_RING)
+
+
+def test_invariant_basis_with_degrees_out_of_order():
+    action = fresh_quadric_action()
+    for d in (4, 2, 5, 5, 1, 3):
+        assert reductive_invariant_basis(action, d) == definition_basis(SL2, d)
+
+
+def test_invariant_basis_when_exponents_outgrow_the_cached_degrees():
+    # Degrees 1 and 2 of the quadric keep every exponent below 8; degree 6
+    # reaches z-degree 12 while they are still cached.
+    action = fresh_quadric_action()
+    assert reductive_invariant_basis(action, 1) == []
+    assert len(reductive_invariant_basis(action, 2)) == 1
+    assert reductive_invariant_basis(action, 6) == definition_basis(SL2, 6)
+    assert reductive_invariant_basis(action, 2) == definition_basis(SL2, 2)
