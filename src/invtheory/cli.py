@@ -16,7 +16,7 @@ from .diagonal import DiagonalAction, is_prime_power
 from .errors import InvariantTheoryError
 from .fields import Field, QQ, prime_field
 from .finite import FiniteGroupAction, molien_series, permutation_matrix
-from .poly import format_polynomial, polynomial_ring
+from .poly import format_polynomial, fresh_names, polynomial_ring
 from .ratfunc import RationalFunction, UniPoly
 from .reductive import LinearlyReductiveAction, hilbert_ideal
 from .rings import (
@@ -407,12 +407,12 @@ def _cmd_defining_ideal(args, action, kind, literal_q, elapsed_from):
     inv = _compute_ring(args, action, kind, literal_q)
     relations = defining_ideal(inv)
     strings = [format_polynomial(f) for f in relations]
-    relation_ring = relations[0].ring if relations else None
     payload = {
         "command": "defining-ideal",
         "kind": kind,
         "generators": [format_polynomial(f) for f in inv.generators],
-        "relation_variables": list(relation_ring.names) if relation_ring else [],
+        # one per generator, as defining_ideal names them
+        "relation_variables": list(fresh_names(len(inv.generators), inv.ring.names)),
         "count": len(strings),
         "relations": strings,
     }

@@ -10,20 +10,24 @@ of a pair is its lcm degree, so this is the normal strategy there; on
 inhomogeneous input, such as graph ideals u_i - f_i, it avoids the many
 S-pairs the normal strategy reduces to zero.  Buchberger's coprime-lead and
 chain criteria drop pairs.  Each lead carries a support bitmask, so a pair
-with coprime leads is dropped when it is created.
+with coprime leads is never queued, and each element keeps its own bit and
+its queued partners' as one int, so the chain test (Gebauer and Moeller, JSC
+1988) is one big-int expression over the leads dividing the pair's lcm.
 
 Inside the engine a monomial is one packed int (Bachmann and Schoenemann,
 *Monomial representations for Groebner bases computations*, ISSAC 1998):
 the exponents sit in bit fields of one width, each field's top bit a guard
 bit that stays clear, and above them the term order's key is packed the
 same way.  Every order here has a key linear in the exponents, so a product
-of monomials is one integer addition and packed monomials compare as their
-keys do.  A lead divides a monomial when subtracting it from the monomial
-with every guard bit set clears none of them; the leads sit side by side in
-one integer, so one subtraction tests them all (`poly.Staircase`, which the
-diagonal solvers share).  The fields start narrow.  An input, S-polynomial
-or reduction step that would set a guard bit makes the engine double the
-width, repack what it holds and redo the call, so exponents are unbounded.
+of monomials is one integer addition, packed monomials compare as their
+keys do, and a pair's lcm is H(a) + H(b) - H(gcd(a, b)), the gcd nonzero
+only on the leads' shared support.  A lead divides a monomial when
+subtracting it from the monomial with every guard bit set clears none of
+them; the leads sit side by side in one integer, so one subtraction tests
+them all (`poly.Staircase`, which the diagonal solvers share).  The fields
+start narrow.  An input, S-polynomial or reduction step that would set a
+guard bit makes the engine double the width, repack what it holds and redo
+the call, so exponents are unbounded.
 Polynomials and the engine's calls from outside keep exponent tuples; the
 engine converts on entry and exit.
 
@@ -213,10 +217,10 @@ class _IncrementalGroebner:
         self.elements: list[dict] = []
         self.leads: list[tuple[tuple[int, ...], int]] = []  # (exp, coeff)
         self.support: list[int] = []  # bit v set when the lead's exponent v > 0
+        self.degrees: list[int] = []  # the lead's degree
         # sugar minus the lead's degree; 0 for homogeneous input
         self.excess: list[int] = []
-        self.heap: list = []   # (sugar, packed lcm, i, j, lcm)
-        self.pending: set[tuple[int, int]] = set()
+        self.heap: list = []   # (sugar, packed lcm, i, j), every queued pair once
         self._set_width(4)  # exponents below 8 until something larger comes
 
     # -- packed monomials --------------------------------------------------------
@@ -245,7 +249,17 @@ class _IncrementalGroebner:
         self._ceilings: list[int] = []  # the packed componentwise max exponent
         for work in self.elements:
             self._index(work, {self._pack(e): e for e in work})
-        self.heap = [(s, self._pack(lcm), i, j, lcm) for s, _, i, j, lcm in self.heap]
+        leads = self.leads
+        self.heap = [(s, self._pack(tuple(map(max, leads[i][0], leads[j][0]))), i, j)
+                     for s, _, i, j in self.heap]
+        # element i and its queued partners k, as bit (k + 1) slot - 1 like `divisors`
+        self._open = [self._bit(k) for k in range(len(self.elements))]
+        for _, _, i, j in self.heap:
+            self._open[i] |= self._bit(j)
+            self._open[j] |= self._bit(i)
+
+    def _bit(self, k: int) -> int:
+        return 1 << ((k + 1) * self._stairs.slot - 1)
 
     def _fit(self, exps) -> None:
         """Widen the fields until every exponent in ``exps`` fits."""
@@ -398,19 +412,30 @@ class _IncrementalGroebner:
     def _push_pairs(self, new_index: int) -> None:
         """Queue the pairs (i, new_index).  The sugar of a pair is
         max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j),
-        that is deg lcm plus the larger excess."""
-        lead_new = self.leads[new_index][0]
-        mask_new = self.support[new_index]
-        excess_new = self.excess[new_index]
-        for i in range(new_index):
-            if not self.support[i] & mask_new:
+        that is deg lcm plus the larger excess.  Keys are linear, so
+        H(lcm) = H(a) + H(b) - H(gcd) and deg lcm = deg a + deg b - deg gcd,
+        and the gcd lives on the leads' shared support."""
+        leads, lead_h, degrees, excess = self.leads, self._lead_h, self.degrees, self.excess
+        lead_new, h_new, base_new = leads[new_index][0], lead_h[new_index], degrees[new_index]
+        mask_new, excess_new = self.support[new_index], excess[new_index]
+        units, open_, slot = self._units, self._open, self._stairs.slot
+        bit_new, partners = self._bit(new_index), 0
+        for i, mask in enumerate(self.support[:new_index]):
+            shared = mask & mask_new
+            if not shared:
                 continue  # coprime leads: the S-polynomial reduces to zero
-            lead_i = self.leads[i][0]
-            lcm = tuple(map(max, lead_i, lead_new))
-            pair = (i, new_index)
-            self.pending.add(pair)
-            sugar = sum(lcm) + max(self.excess[i], excess_new)
-            heapq.heappush(self.heap, (sugar, self._pack(lcm), i, new_index, lcm))
+            lead_i = leads[i][0]
+            lcm, degree = lead_h[i] + h_new, degrees[i] + base_new
+            while shared:
+                v = (shared & -shared).bit_length() - 1
+                shared &= shared - 1
+                low = min(lead_i[v], lead_new[v])
+                lcm -= low * units[v]
+                degree -= low
+            heapq.heappush(self.heap, (degree + max(excess[i], excess_new), lcm, i, new_index))
+            open_[i] |= bit_new
+            partners |= 1 << ((i + 1) * slot - 1)
+        open_[new_index] |= partners
 
     def _load(self, work: dict, sugar: int | None = None) -> None:
         """Append a nonzero element, keyed by exponent tuples, as a divisor,
@@ -423,7 +448,9 @@ class _IncrementalGroebner:
         self.elements.append(work)
         self.leads.append((lead, work[lead]))
         self.support.append(support_mask(lead))
-        self.excess.append(0 if sugar is None else sugar - sum(lead))
+        self.degrees.append(sum(lead))
+        self.excess.append(0 if sugar is None else sugar - self.degrees[-1])
+        self._open.append(self._bit(len(self.elements) - 1))
         self._index(work, packed)
 
     def _append(self, work: dict, sugar: int) -> None:
@@ -444,16 +471,18 @@ class _IncrementalGroebner:
     def reduces_to_zero(self, f: Polynomial) -> bool:
         return not self.reduce(self._to_internal(f))
 
-    def _spoly(self, i: int, j: int, lcm: tuple[int, ...]) -> dict:
-        """The S-polynomial of elements i and j, packed; the fields are
-        widened first if a product would set a guard bit."""
+    def _spoly(self, i: int, j: int, lcm: int) -> dict:
+        """The S-polynomial of elements i and j with packed lcm ``lcm``,
+        packed; the fields are widened first if a product would set a guard
+        bit."""
         while True:
-            packed = self._pack(lcm)
-            shift_i = packed - self._lead_h[i]
-            shift_j = packed - self._lead_h[j]
+            shift_i = lcm - self._lead_h[i]
+            shift_j = lcm - self._lead_h[j]
             if not ((shift_i + self._ceilings[i]) | (shift_j + self._ceilings[j])) & self.guard:
                 break
+            exp = self._unpack(lcm)
             self._set_width(2 * self.width)
+            lcm = self._pack(exp)
         c_i, c_j = self.leads[i][1], self.leads[j][1]
         lam = math.gcd(c_i, c_j)  # leads are 1 over F_p, so the multipliers are too
         mult_i, mult_j = c_j // lam, c_i // lam
@@ -468,38 +497,23 @@ class _IncrementalGroebner:
 
     def process_to(self, bound: int | None) -> None:
         """Handle all queued S-pairs with sugar <= bound (all of them when
-        bound is None); a reduced S-polynomial keeps its pair's sugar."""
+        bound is None); a reduced S-polynomial keeps its pair's sugar.  The
+        chain criterion drops the pair (i, j) when another lead k divides its
+        lcm and neither (i, k) nor (j, k) is still queued."""
         while self.heap:
-            sugar, packed, i, j, lcm = self.heap[0]
+            sugar, lcm, i, j = self.heap[0]
             if bound is not None and sugar > bound:
                 break
             heapq.heappop(self.heap)
-            pair = (i, j)
-            if pair not in self.pending:
-                continue
-            self.pending.discard(pair)
-            if self._chain_skip(i, j, packed):
+            open_, stairs = self._open, self._stairs  # both reset by widening
+            open_[i] ^= 1 << ((j + 1) * stairs.slot - 1)
+            open_[j] ^= 1 << ((i + 1) * stairs.slot - 1)
+            spared = open_[i] | open_[j]
+            if (stairs.divisors(lcm) | spared) != spared:  # another divisor's pairs are treated
                 continue
             reduced = self.reduce(self._spoly(i, j, lcm))
             if reduced:
                 self._append(reduced, sugar)
-
-    def _chain_skip(self, i: int, j: int, lcm: int) -> bool:
-        """Buchberger's chain criterion: some other lead divides the packed
-        lcm and both of its pairs with i and j are already treated.  Coprime
-        pairs, never queued, count as treated."""
-        found = self._stairs.divisors(lcm)
-        while found:
-            bit = found & -found
-            found ^= bit
-            k = bit.bit_length() // self._stairs.slot - 1
-            if k == i or k == j:
-                continue
-            pair_ik = (min(i, k), max(i, k))
-            pair_jk = (min(j, k), max(j, k))
-            if pair_ik not in self.pending and pair_jk not in self.pending:
-                return True
-        return False
 
     # -- extraction ----------------------------------------------------------------
 

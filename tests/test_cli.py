@@ -144,6 +144,24 @@ def test_defining_ideal_command(tmp_path, capsys):
     assert "u2^2-u1*u3" in out
 
 
+def test_defining_ideal_json_names_one_variable_per_generator(tmp_path, capsys):
+    s3 = dict(PM_DOC, variables=["a", "b", "c"],
+              action={"kind": "finite", "generators": ["213", "231"]})
+    code, out, _ = run(capsys, ["defining-ideal", write(tmp_path, s3), "--output", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["generators"]) == 3
+    assert payload["relation_variables"] == ["u1", "u2", "u3"]
+    assert (payload["count"], payload["relations"]) == (0, [])
+
+    code, out, _ = run(capsys, ["defining-ideal", write(tmp_path, PM_DOC), "--output", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["generators"] == ["x^2", "x*y", "y^2"]
+    assert payload["relation_variables"] == ["u1", "u2", "u3"]
+    assert (payload["count"], payload["relations"]) == (1, ["u2^2-u1*u3"])
+
+
 def test_verify_command_passes(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", write(tmp_path, A4_DOC), "--max-degree", "4", "--output", "json"])
     assert code == 0

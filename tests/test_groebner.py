@@ -272,8 +272,9 @@ def test_coprime_pairs_are_never_queued():
     for text in ("x^2-y*w", "y*z-w^2", "z^2-w^2"):
         engine.add_generator(ring.parse(text))
     assert engine.support == [0b0001, 0b0110, 0b0100]
-    assert engine.pending == {(1, 2)}
     assert [entry[2:4] for entry in engine.heap] == [(1, 2)]
+    bit = engine._bit  # each element's own bit and those of its queued partners
+    assert engine._open == [bit(0), bit(1) | bit(2), bit(2) | bit(1)]
 
 
 def test_pairs_are_queued_by_sugar():
@@ -285,10 +286,12 @@ def test_pairs_are_queued_by_sugar():
     engine = _IncrementalGroebner(ring)
     for text in ("x^2-y*w", "x*y-z^2", "y^2*z-w^3", "x*z*w-y^3"):
         engine.add_generator(ring.parse(text))
-    assert [entry[0] for entry in engine.heap] == [sum(entry[4]) for entry in engine.heap]
+    assert [entry[0] for entry in engine.heap] == [
+        sum(engine._unpack(entry[1])) for entry in engine.heap]
     engine.process_to(4)
     assert engine.heap
-    assert [entry[0] for entry in engine.heap] == [sum(entry[4]) for entry in engine.heap]
+    assert [entry[0] for entry in engine.heap] == [
+        sum(engine._unpack(entry[1])) for entry in engine.heap]
 
     # inhomogeneous input: the pair (i, j) has sugar
     # max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j)
@@ -297,13 +300,15 @@ def test_pairs_are_queued_by_sugar():
     engine.add_generator(lex.parse("x*y-z^5"))  # sugar 5, lead x*y
     engine.add_generator(lex.parse("x*z-y"))  # sugar 2, lead x*z
     # lcm x*y*z: max(5 + 3 - 2, 2 + 3 - 2) = 6, where the lcm degree is 3
-    assert [(entry[0],) + entry[2:] for entry in engine.heap] == [(6, 0, 1, (1, 1, 1))]
+    assert [(s, i, j, engine._unpack(lcm)) for s, lcm, i, j in engine.heap] == [
+        (6, 0, 1, (1, 1, 1))]
     engine.process_to(6)
     # the S-polynomial y^2 - z^6 keeps its pair's sugar 6, though its lead
     # has degree 2, so its pair with x*y - z^5 (lcm x*y^2) gets
     # max(5 + 3 - 2, 6 + 3 - 2) = 7
     assert engine.leads[2] == ((0, 2, 0), 1)
-    assert [(entry[0],) + entry[2:] for entry in engine.heap] == [(7, 0, 2, (1, 2, 0))]
+    assert [(s, i, j, engine._unpack(lcm)) for s, lcm, i, j in engine.heap] == [
+        (7, 0, 2, (1, 2, 0))]
 
 
 def test_engine_normal_forms_have_no_divisible_term():

@@ -1,6 +1,6 @@
 """Tests for the packed monomials inside the Groebner engine: packed keys
 order like `TermOrder.key`, the fields widen when exponents outgrow them,
-and the reducer queues each term once."""
+the reducer queues each term once, and the S-pair sequence stays pinned."""
 
 import heapq
 import random
@@ -10,7 +10,7 @@ import pytest
 from invtheory import QQ, TermOrder, buchberger, normal_form, polynomial_ring, prime_field
 from invtheory.groebner import _IncrementalGroebner
 
-from test_groebner import reference_buchberger, reference_remainder, strings
+from test_groebner import random_polynomial, reference_buchberger, reference_remainder, strings
 
 PACKING_ORDERS = [
     TermOrder.lex(),
@@ -83,7 +83,8 @@ def test_s_polynomials_widen_the_fields(p):
         engine.add_generator(f)
     assert engine.width == 16
     # the S-polynomial has the term y^5000 * y^30000
-    _, _, i, j, lcm = engine.heap[0]
+    _, lcm, i, j = engine.heap[0]
+    assert engine._unpack(lcm) == (1, 25000, 0)
     assert not any(h & engine.guard for h in engine._spoly(i, j, lcm))
     assert engine.width == 32
     engine.process_to(None)
@@ -117,3 +118,127 @@ def test_reduction_queues_each_term_once(monkeypatch):
     assert remainder
     assert pushed
     assert len(pushed) == len(set(pushed))
+
+
+# ---------------------------------------------------------------------------
+# the S-pair sequence: the pairs that reach `_spoly`, in order
+# ---------------------------------------------------------------------------
+
+GF32003 = prime_field(32003)
+
+
+def homogeneous_polynomial(ring, rng, degree, terms):
+    f = ring.zero()
+    for _ in range(terms):
+        exps = [0] * ring.n
+        for _ in range(degree):
+            exps[rng.randrange(ring.n)] += 1
+        f = f + ring.monomial(exps, rng.randrange(-4, 5) or 1)
+    return f
+
+
+def complete(ring, polys):
+    engine = _IncrementalGroebner(ring)
+    for f in polys:
+        engine.add_generator(f)
+    engine.process_to(None)
+    return engine
+
+
+def q_grevlex():
+    ring = polynomial_ring(QQ, ("x", "y", "z", "w"), order=TermOrder.grevlex())
+    rng = random.Random(11)
+    return complete(ring, [random_polynomial(ring, rng) for _ in range(4)])
+
+
+def gf_lex():
+    ring = polynomial_ring(GF32003, ("x", "y", "z"), order=TermOrder.lex())
+    rng = random.Random(12)
+    return complete(ring, [random_polynomial(ring, rng) for _ in range(3)])
+
+
+def q_elimination():
+    # the graph ideal of the degree-2 invariants of -1 on x, y, z
+    ring = polynomial_ring(QQ, ("x", "y", "z", "u1", "u2", "u3", "u4", "u5", "u6"),
+                           order=TermOrder.elimination(3))
+    return complete(ring, [ring.parse(text) for text in (
+        "u1-x^2", "u2-x*y", "u3-x*z", "u4-y^2", "u5-y*z", "u6-z^2")])
+
+
+def gf_elimination():
+    ring = polynomial_ring(GF32003, ("x", "y", "z", "w"), order=TermOrder.elimination(1))
+    rng = random.Random(13)
+    return complete(ring, [random_polynomial(ring, rng) for _ in range(4)])
+
+
+def widening():
+    # exponents pass 8 and then 128 while pairs are queued
+    ring = polynomial_ring(QQ, ("x", "y", "z"), order=TermOrder.grevlex())
+    rng = random.Random(6)
+    polys = [random_polynomial(ring, rng, 3, 3) for _ in range(3)] + [ring.parse(text) for text in (
+        "x*y - z^2", "x*z - y^2", "y^3*z^9 - x^13", "x^2*y^140 - z^142")]
+    engine = _IncrementalGroebner(ring)
+    seen = []  # (width, queued pairs) before each input
+    for f in polys:
+        seen.append((engine.width, len(engine.heap)))
+        engine.add_generator(f)
+    assert seen == [(4, 0), (4, 0), (4, 1), (4, 3), (4, 6), (4, 10), (8, 13)]
+    assert engine.width == 16
+    engine.process_to(None)
+    return engine
+
+
+def king_style():
+    # generators added between process_to(d) calls, as degree_sweep does
+    ring = polynomial_ring(GF32003, ("x", "y", "z", "w"), order=TermOrder.grevlex())
+    rng = random.Random(14)
+    engine = _IncrementalGroebner(ring)
+    for d in range(2, 5):
+        engine.process_to(d)
+        for _ in range(2):
+            engine.add_generator(homogeneous_polynomial(ring, rng, d, 2))
+    engine.process_to(6)
+    return engine
+
+
+# recorded before the pair keys and the chain criterion moved to packed ints
+S_PAIR_SEQUENCES = {
+    q_grevlex: (11, [(0, 1), (2, 4), (3, 5), (2, 5), (3, 6), (4, 6), (4, 7), (2, 7), (8, 9),
+                     (3, 9), (6, 9), (3, 10), (5, 10)]),
+    gf_lex: (7, [(0, 2), (2, 3), (1, 2), (0, 1), (2, 4), (0, 5), (1, 5), (3, 4)]),
+    q_elimination: (27, [
+        (4, 5), (2, 5), (3, 4), (1, 2), (1, 4), (0, 2), (1, 3), (0, 1), (6, 8), (6, 9),
+        (8, 9), (7, 10), (7, 12), (7, 11), (7, 13), (10, 12), (10, 11), (10, 13), (11, 12),
+        (12, 13), (11, 13), (4, 6), (4, 8), (4, 9), (2, 7), (2, 10), (2, 12), (2, 11),
+        (2, 13), (3, 6), (3, 8), (3, 9), (1, 6), (1, 7), (1, 8), (1, 10), (1, 12), (1, 9),
+        (1, 11), (1, 13), (0, 7), (0, 10), (0, 12), (0, 11), (0, 13), (21, 22), (22, 23),
+        (22, 24), (22, 25), (23, 24), (23, 25), (24, 25), (25, 26), (14, 21), (15, 22),
+        (16, 23), (17, 24), (18, 25), (19, 26), (14, 15), (15, 16), (15, 17), (15, 18),
+        (16, 17), (16, 18), (17, 18), (18, 19), (8, 21), (8, 22), (9, 23), (9, 24), (9, 25),
+        (20, 26), (10, 21), (10, 22), (11, 23), (11, 24), (11, 25), (13, 26)]),
+    gf_elimination: (9, [(2, 3), (0, 2), (1, 3), (1, 2), (0, 4), (3, 5), (2, 5), (1, 6),
+                         (3, 7), (5, 8)]),
+    widening: (17, [(0, 4), (1, 3), (2, 3), (2, 4), (8, 9), (7, 8), (0, 9), (1, 7), (1, 9),
+                    (7, 10)]),
+    king_style: (10, [(1, 2), (1, 3), (0, 2), (0, 3), (1, 4), (1, 8), (0, 4), (0, 8), (5, 8),
+                      (1, 5), (0, 5), (1, 6), (1, 7), (2, 6), (6, 7), (0, 7), (3, 7), (1, 9),
+                      (4, 9), (8, 9)]),
+}
+
+
+@pytest.mark.parametrize("run", S_PAIR_SEQUENCES, ids=lambda run: run.__name__)
+def test_s_pair_sequence_is_pinned(run, monkeypatch):
+    # the pair order and the pairs the criteria drop decide every
+    # S-polynomial and so the engine's work counters
+    reached = []
+    real_spoly = _IncrementalGroebner._spoly
+
+    def spoly(self, i, j, lcm):
+        reached.append((i, j))
+        return real_spoly(self, i, j, lcm)
+
+    monkeypatch.setattr(_IncrementalGroebner, "_spoly", spoly)
+    size, pairs = S_PAIR_SEQUENCES[run]
+    engine = run()
+    assert reached == pairs
+    assert len(engine.elements) == size
