@@ -189,10 +189,13 @@ def _load_action(data: dict):
         ):
             _fail("action.weights", "expected a matrix of integers")
         literal_q = spec.get("literalQ")
-        if literal_q is not None and (
-            not isinstance(literal_q, int) or not is_prime_power(literal_q)
-        ):
-            _fail("action.literalQ", "expected a prime power >= 2")
+        if literal_q is not None:
+            try:
+                prime_power = isinstance(literal_q, int) and is_prime_power(literal_q)
+            except ValueError as exc:  # too large to decide
+                _fail("action.literalQ", str(exc))
+            if not prime_power:
+                _fail("action.literalQ", "expected a prime power >= 2")
         try:
             return DiagonalAction(ring, r, orders, weights), kind, literal_q
         except InvariantTheoryError as exc:

@@ -23,6 +23,7 @@ import math
 import operator
 
 from .errors import DimensionMismatch, RingMismatch, RootOfUnityUnavailable
+from .fields import _is_prime
 from .poly import Monomial, Polynomial, PolynomialRing, Staircase, _packing
 
 
@@ -294,14 +295,27 @@ def diagonal_invariants(action: DiagonalAction) -> list[Monomial]:
     return [Monomial(v) for v in sorted((c[:n] for c in basis), key=_by_degree)]
 
 
+def _integer_root(q: int, k: int) -> int:
+    """The largest r with r^k <= q, for q >= 1, by Newton's method from
+    above."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def is_prime_power(q: int) -> bool:
-    """Whether q = p^k for a prime p and some k >= 1."""
+    """Whether q = p^k for a prime p and some k >= 1: whether the exact
+    integer k-th root of q with the largest k is prime.  Raises ValueError
+    when `prime_field` would on that root."""
     if q < 2:
         return False
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    while q % p == 0:
-        q //= p
-    return q == 1
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _integer_root(q, k)
+        if r ** k == q:  # at the latest for k = 1
+            return _is_prime(r)
 
 
 def diagonal_invariants_literal(action: DiagonalAction, q: int) -> list[Monomial]:

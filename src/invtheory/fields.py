@@ -13,14 +13,37 @@ from fractions import Fraction
 from .errors import DivisorNotInvertible
 
 
+# Miller-Rabin to these prime bases decides primality below _MR_BOUND
+# (Sorenson and Webster, *Strong pseudoprimes to twelve prime bases*, Math.
+# Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime; raises ValueError when p has no prime factor
+    among the bases and is too large for them to decide."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {p} is prime: it is above 3.3e24")
+    odd, twos = p - 1, 0
+    while not odd & 1:
+        odd >>= 1
+        twos += 1
+    for b in _MR_BASES:
+        x = pow(b, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -414,11 +414,12 @@ def _degree_bound(action: FiniteGroupAction, max_degree: int | None) -> int:
     return action.order()
 
 
-def _sweep(action: FiniteGroupAction, bound: int, candidates) -> list[Polynomial]:
+def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Polynomial], bool]:
     """Degrees 1..bound of `degree_sweep`, stopping once every monomial of
     the next degree (at most the bound) lies in the lead ideal;
     ``candidates(engine, d, monomials)`` also gets the degree-d monomials.
-    Generators come out monic, by degree then descending lead."""
+    Generators come out monic, by degree then descending lead, with whether
+    they are proven complete (`_proven`)."""
     ring = action.ring
     monomials = ring.monomial_basis
 
@@ -428,7 +429,7 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> list[Polynomial
         engine.process_to(d + 1)
         return all(engine.lead_divides(m.exponents) for m in monomials(d + 1))
 
-    found, _ = degree_sweep(
+    found, stopped = degree_sweep(
         ring,
         range(1, bound + 1),
         lambda engine, d: candidates(engine, d, monomials(d)),
@@ -439,7 +440,22 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> list[Polynomial
         key = ring.order.key(f.lead_exponents())
         return (f.degree(), tuple(-v for v in key))
 
-    return sorted((f.monic() for f in found), key=sort_key)
+    return sorted((f.monic() for f in found), key=sort_key), _proven(action, bound, stopped)
+
+
+def _proven(action: FiniteGroupAction, bound: int, stopped: bool) -> bool:
+    """Whether a sweep to ``bound`` found every generator: the stop fired,
+    or the bound reached |G| (Noether's bound).  Both rest on the Reynolds
+    operator, so neither proves anything when the characteristic divides
+    |G|, or when it is positive and |G| is unknown."""
+    p = action.ring.field.characteristic()
+    if stopped and not p:
+        return True
+    try:
+        order = action.order()
+    except ClosureCapExceeded:
+        return False
+    return not (p and order % p == 0) and (stopped or bound >= order)
 
 
 def _reynolds_images(action: FiniteGroupAction, monomials):
@@ -469,6 +485,12 @@ def invariants_king(
     start of the degree, which does not change the output.  For a monomial
     group each orbit is tried once per degree.
     """
+    return _king_sweep(action, max_degree, skip_reducible)[0]
+
+
+def _king_sweep(action: FiniteGroupAction, max_degree: int | None,
+                skip_reducible: bool = True) -> tuple[list[Polynomial], bool]:
+    """`invariants_king` and whether its generators are complete."""
 
     def candidates(engine, d, monomials):
         if skip_reducible:
@@ -488,6 +510,12 @@ def invariants_linear_algebra(
     requires the closure; if the closure cannot be computed a bound is
     mandatory.
     """
+    return _linear_sweep(action, max_degree)[0]
+
+
+def _linear_sweep(action: FiniteGroupAction,
+                  max_degree: int | None) -> tuple[list[Polynomial], bool]:
+    """`invariants_linear_algebra` and whether its generators are complete."""
     if max_degree is None:
         try:
             bound = action.order()

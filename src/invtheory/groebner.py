@@ -5,14 +5,19 @@ built with.
 Pair selection follows the sugar strategy (Giovini, Mora, Niesi, Robbiano
 and Traverso, ISSAC 1991): each element carries a sugar, the degree it would
 have if the input were homogenized, and the pair of least sugar goes first,
-ties broken by term order then input index.  For homogeneous input the sugar
-of a pair is its lcm degree, so this is the normal strategy there; on
-inhomogeneous input, such as graph ideals u_i - f_i, it avoids the many
-S-pairs the normal strategy reduces to zero.  Buchberger's coprime-lead and
-chain criteria drop pairs.  Each lead carries a support bitmask, so a pair
-with coprime leads is never queued, and each element keeps its own bit and
-its queued partners' as one int, so the chain test (Gebauer and Moeller, JSC
-1988) is one big-int expression over the leads dividing the pair's lcm.
+ties broken by term order then input index.  Degrees are weighted: variable
+v counts w_v >= 1, all ones unless the caller gives weights.  For input
+homogeneous in the weights the sugar of a pair is its lcm degree, so this
+is the normal strategy there; a graph ideal u_i - f_i is homogeneous once
+u_i weighs deg f_i, which is how `rings.defining_ideal` runs it.  On other
+inhomogeneous input the sugar avoids many S-pairs the normal strategy
+reduces to zero.  The weights choose only the pair order, never the term
+order, so the reduced basis does not depend on them.  Buchberger's
+coprime-lead and chain criteria drop pairs.  Each lead carries a support
+bitmask, so a pair with coprime leads is never queued, and each element
+keeps its own bit and its queued partners' as one int, so the chain test
+(Gebauer and Moeller, JSC 1988) is one big-int expression over the leads
+dividing the pair's lcm.
 
 Inside the engine a monomial is one packed int (Bachmann and Schoenemann,
 *Monomial representations for Groebner bases computations*, ISSAC 1998):
@@ -201,6 +206,20 @@ class SubstitutionRemainders:
 # ---------------------------------------------------------------------------
 
 
+def _check_weights(weights, n: int):
+    """The weights as a tuple of n ints >= 1, or None when they are absent
+    or all ones; raises ValueError on any other weights."""
+    if weights is None:
+        return None
+    weights = tuple(weights)
+    if len(weights) != n:
+        raise ValueError(f"{len(weights)} weights for {n} variables")
+    for w in weights:
+        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
+            raise ValueError(f"weights must be integers >= 1, got {w!r}")
+    return None if all(w == 1 for w in weights) else weights
+
+
 class _IncrementalGroebner:
     """Buchberger engine that supports adding generators and raising the
     processed-degree watermark, as King-style algorithms need.
@@ -208,16 +227,19 @@ class _IncrementalGroebner:
     Over Q, elements are primitive integer-coefficient term dicts with a
     positive lead coefficient; over F_p they are monic mod p.  ``elements``
     and ``leads`` hold exponent tuples, the reducer packed monomials.
+    Degrees and sugars are taken in ``weights``, one per variable (see
+    `_check_weights`); None, or all ones, is the standard degree.
     """
 
-    def __init__(self, ring: PolynomialRing):
+    def __init__(self, ring: PolynomialRing, weights=None):
         self.ring = ring
         self.p = ring.field.characteristic() or None
         self.n = ring.n
+        self.weights = _check_weights(weights, ring.n)
         self.elements: list[dict] = []
         self.leads: list[tuple[tuple[int, ...], int]] = []  # (exp, coeff)
         self.support: list[int] = []  # bit v set when the lead's exponent v > 0
-        self.degrees: list[int] = []  # the lead's degree
+        self.degrees: list[int] = []  # the lead's weighted degree
         # sugar minus the lead's degree; 0 for homogeneous input
         self.excess: list[int] = []
         self.heap: list = []   # (sugar, packed lcm, i, j), every queued pair once
@@ -277,6 +299,10 @@ class _IncrementalGroebner:
         width = self.width
         mask = (1 << width) - 1
         return tuple(h >> (width * v) & mask for v in range(self.n))
+
+    def _degree(self, exp: tuple[int, ...]) -> int:
+        weights = self.weights
+        return sum(exp) if weights is None else sum(map(operator.mul, exp, weights))
 
     def _pack_terms(self, work: dict) -> dict:
         self._fit(work)
@@ -412,10 +438,12 @@ class _IncrementalGroebner:
     def _push_pairs(self, new_index: int) -> None:
         """Queue the pairs (i, new_index).  The sugar of a pair is
         max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j),
-        that is deg lcm plus the larger excess.  Keys are linear, so
-        H(lcm) = H(a) + H(b) - H(gcd) and deg lcm = deg a + deg b - deg gcd,
-        and the gcd lives on the leads' shared support."""
+        that is deg lcm plus the larger excess.  Keys and degrees are
+        linear, so H(lcm) = H(a) + H(b) - H(gcd) and deg lcm = deg a +
+        deg b - sum_v w_v min(a_v, b_v), and the gcd lives on the leads'
+        shared support."""
         leads, lead_h, degrees, excess = self.leads, self._lead_h, self.degrees, self.excess
+        weights = self.weights
         lead_new, h_new, base_new = leads[new_index][0], lead_h[new_index], degrees[new_index]
         mask_new, excess_new = self.support[new_index], excess[new_index]
         units, open_, slot = self._units, self._open, self._stairs.slot
@@ -431,7 +459,7 @@ class _IncrementalGroebner:
                 shared &= shared - 1
                 low = min(lead_i[v], lead_new[v])
                 lcm -= low * units[v]
-                degree -= low
+                degree -= low if weights is None else low * weights[v]
             heapq.heappush(self.heap, (degree + max(excess[i], excess_new), lcm, i, new_index))
             open_[i] |= bit_new
             partners |= 1 << ((i + 1) * slot - 1)
@@ -448,7 +476,7 @@ class _IncrementalGroebner:
         self.elements.append(work)
         self.leads.append((lead, work[lead]))
         self.support.append(support_mask(lead))
-        self.degrees.append(sum(lead))
+        self.degrees.append(self._degree(lead))
         self.excess.append(0 if sugar is None else sugar - self.degrees[-1])
         self._open.append(self._bit(len(self.elements) - 1))
         self._index(work, packed)
@@ -465,7 +493,9 @@ class _IncrementalGroebner:
             return False
         reduced = self.reduce(self._to_internal(f))
         if reduced:
-            self._append(reduced, f.degree())
+            sugar = f.degree() if self.weights is None else max(
+                self._degree(e) for e, _ in f.terms)
+            self._append(reduced, sugar)
         return bool(reduced)
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
@@ -580,16 +610,23 @@ def buchberger(
     polys,
     order: TermOrder | None = None,
     truncation_degree: int | None = None,
+    weights=None,
 ) -> GroebnerBasis:
     """Groebner basis of the given polynomials.
 
     With ``truncation_degree`` d (homogeneous input only), S-pairs above
     degree d are dropped; the result decides ideal membership up to degree d.
+    ``weights``, one int >= 1 per variable, set the degree the sugar
+    strategy orders pairs by; they change the work, not the basis, and
+    cannot be combined with a truncation.
     """
     polys = [f for f in polys if not f.is_zero()]
     if not polys:
         raise ValueError("need at least one nonzero polynomial")
     ring = polys[0].ring
+    weights = _check_weights(weights, ring.n)
+    if weights is not None and truncation_degree is not None:
+        raise ValueError("a truncation degree needs unweighted sugar")
     for f in polys[1:]:
         if f.ring != ring:
             raise RingMismatch(f"{f.ring} vs {ring}")
@@ -602,7 +639,7 @@ def buchberger(
                 raise InhomogeneousTruncation(
                     f"cannot truncate: {f} is not homogeneous"
                 )
-    engine = _IncrementalGroebner(ring)
+    engine = _IncrementalGroebner(ring, weights)
     for f in polys:
         engine.add_generator(f)
     engine.process_to(truncation_degree)
@@ -615,17 +652,19 @@ def buchberger(
     )
 
 
-def elimination_ideal(polys, eliminate) -> list[Polynomial]:
+def elimination_ideal(polys, eliminate, weights=None) -> list[Polynomial]:
     """Generators of ideal(polys) intersected with the subring on the
     variables not named in ``eliminate``.
 
     The variables are reordered internally so the eliminated block leads an
     elimination order; results live in a ring on the remaining variables.
+    ``weights`` are `buchberger`'s, one per variable of the polys' ring.
     """
     polys = [f for f in polys if not f.is_zero()]
     if not polys:
         return []
     ring = polys[0].ring
+    weights = _check_weights(weights, ring.n)
     eliminate = set(eliminate)
     unknown = eliminate - set(ring.names)
     if unknown:
@@ -644,7 +683,9 @@ def elimination_ideal(polys, eliminate) -> list[Polynomial]:
             {tuple(e[i] for i in mapping): c for e, c in f.terms}
         )
 
-    basis = buchberger([permute(f, work_ring, perm) for f in polys])
+    if weights is not None:
+        weights = [weights[i] for i in perm]
+    basis = buchberger([permute(f, work_ring, perm) for f in polys], weights=weights)
     target_ring = PolynomialRing(ring.field, tuple(tail), TermOrder.grevlex())
     survivors = []
     for g in basis.elements:

@@ -9,33 +9,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
 
 from .fields import Field
-
-
-def identity(n: int, field: Field):
-    one, zero = field.one(), field.zero()
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def mat_mul(a, b, field: Field):
-    """a b, adding for each nonzero entry a[i][t] the nonzero entries of row
-    b[t] times a[i][t]: a product of permutation matrices takes n
-    multiplications and n^2 zero tests."""
-    m = len(b[0]) if b else 0
-    out = []
-    for row_a in a:
-        row = [field.zero()] * m
-        for x, row_b in zip(row_a, b):
-            if not field.is_zero(x):
-                for j, y in enumerate(row_b):
-                    if not field.is_zero(y):
-                        row[j] = field.add(row[j], field.mul(x, y))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 class Echelon:

@@ -15,9 +15,9 @@ from .diagonal import (
 from .errors import NonZeroCharacteristic
 from .finite import (
     FiniteGroupAction,
+    _king_sweep,
+    _linear_sweep,
     invariant_space_basis,
-    invariants_king,
-    invariants_linear_algebra,
     molien_series,
 )
 from .groebner import elimination_ideal
@@ -47,12 +47,17 @@ class DegreeCheck:
 
 class RingOfInvariants:
     """Computed generators of an invariant ring together with the action
-    they came from and the algorithm that produced them."""
+    they came from and the algorithm that produced them.  ``complete`` is
+    whether the generators are proven to generate: a finite-group sweep cut
+    by a degree cap before a proof, or run in the modular case, is not;
+    diagonal and reductive rings always are."""
 
-    def __init__(self, action, generators, method: str, literal_q: int | None = None):
+    def __init__(self, action, generators, method: str, literal_q: int | None = None,
+                 complete: bool = True):
         self.action = action
         self.method = method
         self.literal_q = literal_q
+        self.complete = complete
         ring = self.ring
         key = lambda f: (
             f.degree(),
@@ -93,13 +98,13 @@ def invariant_ring(
     """
     if isinstance(action, FiniteGroupAction):
         if algorithm == KING:
-            gens = invariants_king(action, max_degree=max_degree)
+            gens, complete = _king_sweep(action, max_degree)
         elif algorithm in (LINEAR_ALGEBRA, "linear"):
-            gens = invariants_linear_algebra(action, max_degree=max_degree)
+            gens, complete = _linear_sweep(action, max_degree)
             algorithm = LINEAR_ALGEBRA
         else:
             raise ValueError(f"unknown finite-group algorithm {algorithm!r}")
-        return RingOfInvariants(action, gens, algorithm)
+        return RingOfInvariants(action, gens, algorithm, complete=complete)
     if isinstance(action, DiagonalAction):
         if literal_q is not None:
             monos = diagonal_invariants_literal(action, literal_q)
@@ -133,7 +138,9 @@ def defining_ideal(inv: RingOfInvariants) -> list[Polynomial]:
         rel = combined.variable(ring.n + i)
         acc = {exp + (0,) * pad: coeff for exp, coeff in f.terms}
         relations.append(rel - combined.from_terms(acc))
-    inv._defining = elimination_ideal(relations, eliminate=ring.names)
+    # u_i - f_i is homogeneous when u_i weighs deg f_i
+    weights = (1,) * ring.n + tuple(max(f.degree(), 1) for f in gens)
+    inv._defining = elimination_ideal(relations, eliminate=ring.names, weights=weights)
     return inv._defining
 
 

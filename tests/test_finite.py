@@ -18,6 +18,7 @@ from invtheory import (
     act_on,
     format_polynomial,
     invariant_space_basis,
+    invariant_ring,
     invariants_king,
     invariants_linear_algebra,
     molien_series,
@@ -35,6 +36,25 @@ PLUS_MINUS = FiniteGroupAction(R2, [[[-1, 0], [0, -1]]])
 SWAP = FiniteGroupAction(R2, [permutation_matrix("21")])
 TRIVIAL2 = FiniteGroupAction(R2, [permutation_matrix("12")])
 CYCLE3 = FiniteGroupAction(polynomial_ring(QQ, ("x1", "x2", "x3")), [permutation_matrix("231")])
+
+
+def identity(n, field):
+    one, zero = field.one(), field.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b, field):
+    """The dense matrix product a b in the field's own arithmetic: the
+    reference the sparse group kernels are checked against."""
+    m = len(b[0]) if b else 0
+    out = []
+    for row_a in a:
+        row = [field.zero()] * m
+        for x, row_b in zip(row_a, b):
+            for j, y in enumerate(row_b):
+                row[j] = field.add(row[j], field.mul(x, y))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def random_polynomial(ring, rng, max_terms=5, max_degree=4):
@@ -70,10 +90,35 @@ def test_closure_is_a_group():
     elems = A4.group_closure()
     assert permutation_matrix("1234") in elems
     index = {g: i for i, g in enumerate(elems)}
-    from invtheory.linalg import mat_mul
     for g in elems:
         for h in elems:
             assert mat_mul(g, h, QQ) in index
+
+
+@pytest.mark.parametrize("algorithm", ["king", "linear_algebra"])
+def test_capped_sweep_reports_that_it_is_incomplete(algorithm):
+    capped = invariant_ring(A4, algorithm=algorithm, max_degree=3)
+    assert [f.degree() for f in capped] == [1, 2, 3]
+    assert not capped.complete
+    assert invariant_ring(A4, algorithm=algorithm).complete
+    # every generator is found by degree 6, but only the sweep to degree 7
+    # proves it: King's stop checks degree d + 1 below the cap
+    assert not invariant_ring(A4, algorithm=algorithm, max_degree=6).complete
+    assert invariant_ring(A4, algorithm=algorithm, max_degree=7).complete
+    # a cap at |G| is as good as none
+    assert invariant_ring(PLUS_MINUS, algorithm=algorithm, max_degree=2).complete
+    assert invariant_ring(CYCLE3, algorithm=algorithm, max_degree=3).complete
+
+
+def test_modular_sweep_is_never_certified():
+    # Z/2 on three copies of its two-dimensional indecomposable over GF(2):
+    # x_i y_j + x_j y_i is invariant and lies in the ideal of y_i and y_j,
+    # but not in the algebra the sweep's generators span
+    field = prime_field(2)
+    ring = polynomial_ring(field, ("x1", "y1", "x2", "y2", "x3", "y3"))
+    jordan = [[int(i == j or (i % 2 == 0 and j == i + 1)) for j in range(6)] for i in range(6)]
+    inv = invariant_ring(FiniteGroupAction(ring, [jordan]), algorithm="linear_algebra")
+    assert not inv.complete
 
 
 def test_closure_cap_exceeded_for_infinite_group():
@@ -328,8 +373,6 @@ def test_d6_generators_are_pinned():
 def reference_closure(action):
     """Plain breadth-first closure, with the matrices themselves as the
     seen keys."""
-    from invtheory.linalg import identity, mat_mul
-
     field = action.ring.field
     ordered = [identity(action.ring.n, field)]
     for g in action.generators:

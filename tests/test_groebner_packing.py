@@ -137,8 +137,8 @@ def homogeneous_polynomial(ring, rng, degree, terms):
     return f
 
 
-def complete(ring, polys):
-    engine = _IncrementalGroebner(ring)
+def complete(ring, polys, weights=None):
+    engine = _IncrementalGroebner(ring, weights)
     for f in polys:
         engine.add_generator(f)
     engine.process_to(None)
@@ -163,6 +163,15 @@ def q_elimination():
                            order=TermOrder.elimination(3))
     return complete(ring, [ring.parse(text) for text in (
         "u1-x^2", "u2-x*y", "u3-x*z", "u4-y^2", "u5-y*z", "u6-z^2")])
+
+
+def q_elimination_weighted():
+    # the same graph ideal with each u_i weighing 2: homogeneous in the
+    # weights, so a pair's sugar is its weighted lcm degree
+    ring = polynomial_ring(QQ, ("x", "y", "z", "u1", "u2", "u3", "u4", "u5", "u6"),
+                           order=TermOrder.elimination(3))
+    return complete(ring, [ring.parse(text) for text in (
+        "u1-x^2", "u2-x*y", "u3-x*z", "u4-y^2", "u5-y*z", "u6-z^2")], (1, 1, 1) + (2,) * 6)
 
 
 def gf_elimination():
@@ -201,7 +210,9 @@ def king_style():
     return engine
 
 
-# recorded before the pair keys and the chain criterion moved to packed ints
+# recorded before the pair keys and the chain criterion moved to packed ints,
+# and q_elimination_weighted when weighted sugar came in; its reduced basis is
+# q_elimination's (test_weighted_sugar.py)
 S_PAIR_SEQUENCES = {
     q_grevlex: (11, [(0, 1), (2, 4), (3, 5), (2, 5), (3, 6), (4, 6), (4, 7), (2, 7), (8, 9),
                      (3, 9), (6, 9), (3, 10), (5, 10)]),
@@ -216,6 +227,14 @@ S_PAIR_SEQUENCES = {
         (16, 23), (17, 24), (18, 25), (19, 26), (14, 15), (15, 16), (15, 17), (15, 18),
         (16, 17), (16, 18), (17, 18), (18, 19), (8, 21), (8, 22), (9, 23), (9, 24), (9, 25),
         (20, 26), (10, 21), (10, 22), (11, 23), (11, 24), (11, 25), (13, 26)]),
+    q_elimination_weighted: (20, [
+        (4, 5), (2, 5), (3, 4), (1, 2), (1, 4), (0, 2), (1, 3), (0, 1), (4, 6), (4, 8), (4, 9),
+        (2, 7), (2, 10), (2, 12), (2, 11), (2, 13), (3, 6), (3, 8), (3, 9), (1, 6), (1, 7),
+        (1, 8), (1, 10), (1, 12), (1, 9), (1, 11), (1, 13), (0, 7), (0, 10), (0, 12), (0, 11),
+        (0, 13), (6, 8), (6, 9), (8, 14), (8, 9), (8, 15), (9, 16), (9, 17), (9, 18), (7, 10),
+        (7, 12), (7, 11), (7, 13), (10, 14), (10, 12), (10, 11), (10, 15), (10, 13), (11, 12),
+        (11, 16), (12, 13), (11, 17), (11, 13), (11, 18), (13, 19), (14, 15), (15, 16),
+        (15, 17), (15, 18), (16, 17), (16, 18), (17, 18), (18, 19)]),
     gf_elimination: (9, [(2, 3), (0, 2), (1, 3), (1, 2), (0, 4), (3, 5), (2, 5), (1, 6),
                          (3, 7), (5, 8)]),
     widening: (17, [(0, 4), (1, 3), (2, 3), (2, 4), (8, 9), (7, 8), (0, 9), (1, 7), (1, 9),

@@ -36,8 +36,7 @@ from invtheory.finite import (
     act_on,
 )
 from invtheory.groebner import buchberger, reducer
-from invtheory.linalg import mat_mul
-from test_finite import reference_closure
+from test_finite import mat_mul, reference_closure
 from test_finite_orbits import MONOMIAL_GROUPS, ROTATION3, is_modular
 
 F7 = prime_field(7)

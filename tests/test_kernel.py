@@ -1,14 +1,18 @@
 """Tests for scalar fields, term orders, and exact linear algebra."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from invtheory import QQ, DivisorNotInvertible, TermOrder, prime_field
-from invtheory.linalg import (
-    Echelon, identity, mat_mul, nullspace, rank, rref,
-)
+from invtheory.diagonal import is_prime_power
+from invtheory.fields import _is_prime
+from invtheory.linalg import Echelon, nullspace, rank, rref
+
+from test_finite import identity, mat_mul
 
 
 def test_rationals_descriptor():
@@ -35,6 +39,53 @@ def test_prime_field_rejects_composite_modulus():
         prime_field(6)
     with pytest.raises(ValueError):
         prime_field(1)
+
+
+def test_large_prime_field_returns_at_once():
+    start = time.perf_counter()
+    field = prime_field(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert field.inv(2) * 2 % (2**61 - 1) == 1
+
+
+def test_primality_matches_trial_division_and_rejects_carmichael_numbers():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(-2, 5000) if _is_prime(p)] == [p for p in range(-2, 5000) if trial(p)]
+    # Carmichael numbers and strong pseudoprimes to the bases 2..37
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 3215031751,
+              318665857834031151167461):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            prime_field(n)
+    for p in (2**31 - 1, 2**61 - 1, 10**18 + 9, 3317044064679887385961813):
+        assert _is_prime(p)
+
+
+def test_primality_above_the_deterministic_bound_raises():
+    with pytest.raises(ValueError, match="cannot decide"):
+        prime_field(2**89 - 1)
+    with pytest.raises(ValueError, match="cannot decide"):
+        _is_prime(3317044064679887385961981)  # a strong pseudoprime to all 13 bases
+    assert not _is_prime(2**100)  # a small factor still decides
+
+
+def test_prime_powers_by_integer_roots():
+    assert is_prime_power(3**40)
+    assert is_prime_power((2**61 - 1) ** 3)
+    assert is_prime_power(2)
+    assert not is_prime_power(6**40)
+    assert not is_prime_power(1)
+    assert not is_prime_power(2**61 * 3)
+
+    def trial(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        while q % p == 0:
+            q //= p
+        return q == 1
+
+    assert all(is_prime_power(q) == trial(q) for q in range(2, 5000))
 
 
 def test_prime_field_division_by_zero():
