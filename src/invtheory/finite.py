@@ -414,58 +414,118 @@ def _degree_bound(action: FiniteGroupAction, max_degree: int | None) -> int:
     return action.order()
 
 
-def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Polynomial], bool]:
-    """Degrees 1..bound of `degree_sweep`, stopping once every monomial of
-    the next degree (at most the bound) lies in the lead ideal;
-    ``candidates(engine, d, monomials)`` also gets the degree-d monomials.
-    Generators come out monic, by degree then descending lead, with whether
-    they are proven complete (`_proven`)."""
-    ring = action.ring
-    monomials = ring.monomial_basis
+def _standard_monomials(engine, below, key) -> list[tuple[int, ...]]:
+    """The degree d + 1 exponents that no lead of ``engine`` divides,
+    leading-first, from ``below``: the degree-d ones no lead divided when
+    that list was built.  A child m x_v with v at or after m's last variable
+    has one parent; the lead ideal only grows, so the parent of a child
+    that is standard now, the child over its last variable, was standard
+    then."""
+    n = engine.n
+    children = []
+    for m in below:
+        last = n - 1
+        while last and not m[last]:
+            last -= 1
+        for v in range(last, n):
+            child = m[:v] + (m[v] + 1,) + m[v + 1:]
+            if not engine.lead_divides(child):
+                children.append(child)
+    children.sort(key=key, reverse=True)
+    return children
 
-    def covered(engine, d: int) -> bool:
+
+def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Polynomial], bool]:
+    """Degrees 1..bound of `degree_sweep`, with ``candidates(engine, d,
+    standard)``, where ``standard()`` lists the degree-d exponents outside
+    the lead ideal.  Generators come out monic, by degree then descending
+    lead, with whether they are proven complete.
+
+    After a degree the sweep stops on either of two proofs.  King's stop:
+    no monomial of the next degree (at most the bound) is standard, so the
+    Hilbert ideal is generated; with a Reynolds operator that proves the
+    invariants are (`_proven`).  Kemper's certificate (Kemper 1996,
+    Prop. 16; Derksen-Kemper section 3.7), sound in every characteristic:
+    the kept f_1..f_n are n invariants with deg f_1 ... deg f_n = |G|, and
+    every variable has a pure power among the leads (these lie in the
+    ideal, so K[x]/(f) is finite and f is a homogeneous system of
+    parameters; if it is one, every monomial of degree sum(deg f_i - 1) + 1
+    lies in (f), which is where the pairs are handled to).  Then K[x] is
+    free of rank prod deg f_i over the polynomial ring K[f], so
+    [K(x):K(f)] = |G| = [K(x):K(x)^G] (the action is faithful), and
+    K(f) = K(x)^G.  K[x]^G lies in that field and is integral over K[f],
+    which is integrally closed, so K[f] = K[x]^G."""
+    ring = action.ring
+    n = ring.n
+    standard_by_degree = [[(0,) * n]]
+    order: list = []  # |G| once looked up, None when the closure is unavailable
+    certified = False
+
+    def group_order():
+        if not order:
+            try:
+                order.append(action.order())
+            except ClosureCapExceeded:
+                order.append(None)
+        return order[0]
+
+    def standard(engine, d: int) -> list[tuple[int, ...]]:
+        while len(standard_by_degree) <= d:
+            standard_by_degree.append(
+                _standard_monomials(engine, standard_by_degree[-1], ring.order.key))
+        return standard_by_degree[d]
+
+    def complete(engine, d: int, kept) -> bool:
+        nonlocal certified
+        product = 1
+        for f in kept:
+            product *= f.degree()
+        if len(kept) == n and product == group_order():
+            engine.process_to(sum(f.degree() for f in kept) - n + 1)
+            pure = set(engine.support)
+            certified = all(1 << v in pure for v in range(n))
+            if certified:
+                return True
         if d == bound:
             return False  # the sweep ends here; checking d + 1 costs S-pairs
         engine.process_to(d + 1)
-        return all(engine.lead_divides(m.exponents) for m in monomials(d + 1))
+        return not standard(engine, d + 1)
 
     found, stopped = degree_sweep(
         ring,
         range(1, bound + 1),
-        lambda engine, d: candidates(engine, d, monomials(d)),
-        covered,
+        lambda engine, d: candidates(engine, d, lambda: standard(engine, d)),
+        complete,
     )
 
     def sort_key(f: Polynomial):
         key = ring.order.key(f.lead_exponents())
         return (f.degree(), tuple(-v for v in key))
 
-    return sorted((f.monic() for f in found), key=sort_key), _proven(action, bound, stopped)
+    proven = certified or _proven(ring.field.characteristic(), group_order, bound, stopped)
+    return sorted((f.monic() for f in found), key=sort_key), proven
 
 
-def _proven(action: FiniteGroupAction, bound: int, stopped: bool) -> bool:
-    """Whether a sweep to ``bound`` found every generator: the stop fired,
-    or the bound reached |G| (Noether's bound).  Both rest on the Reynolds
-    operator, so neither proves anything when the characteristic divides
-    |G|, or when it is positive and |G| is unknown."""
-    p = action.ring.field.characteristic()
+def _proven(p: int, group_order, bound: int, stopped: bool) -> bool:
+    """Whether a sweep to ``bound`` without Kemper's certificate found every
+    generator: King's stop fired, or the bound reached |G| (Noether's
+    bound).  Both rest on the Reynolds operator, so neither proves anything
+    when the characteristic divides |G|, or when it is positive and
+    ``group_order()`` is None (the closure is unavailable)."""
     if stopped and not p:
         return True
-    try:
-        order = action.order()
-    except ClosureCapExceeded:
-        return False
-    return not (p and order % p == 0) and (stopped or bound >= order)
+    order = group_order()
+    return order is not None and not (p and order % p == 0) and (stopped or bound >= order)
 
 
 def _reynolds_images(action: FiniteGroupAction, monomials):
-    """Reynolds images of the monomials, one per orbit for a monomial group
-    (the images of an orbit's members are proportional)."""
+    """Reynolds images of the monomials (exponent tuples), one per orbit for
+    a monomial group (the images of an orbit's members are proportional)."""
     tried: set[tuple[int, ...]] = set()
     for m in monomials:
-        if m.exponents in tried:
+        if m in tried:
             continue
-        orbit = action._monomial_orbit(m.exponents)
+        orbit = action._monomial_orbit(m)
         if orbit is not None:
             tried.update(orbit.coefficients)
         yield reynolds(action, action.ring.monomial(m))
@@ -481,9 +541,10 @@ def invariants_king(
     Degree by degree up to the bound (|G| by default), a truncated Groebner
     basis of the ideal of found generators is maintained; a monomial whose
     Reynolds image has nonzero normal form contributes a new generator.
-    ``skip_reducible`` skips monomials already in the lead ideal at the
-    start of the degree, which does not change the output.  For a monomial
-    group each orbit is tried once per degree.
+    ``skip_reducible`` tries only the standard monomials, those outside the
+    lead ideal at the start of the degree, which does not change the
+    output.  For a monomial group each orbit is tried once per degree.  The
+    sweep stops early on King's stop or Kemper's certificate (`_sweep`).
     """
     return _king_sweep(action, max_degree, skip_reducible)[0]
 
@@ -492,9 +553,9 @@ def _king_sweep(action: FiniteGroupAction, max_degree: int | None,
                 skip_reducible: bool = True) -> tuple[list[Polynomial], bool]:
     """`invariants_king` and whether its generators are complete."""
 
-    def candidates(engine, d, monomials):
-        if skip_reducible:
-            monomials = [m for m in monomials if not engine.lead_divides(m.exponents)]
+    def candidates(engine, d, standard):
+        monomials = (standard() if skip_reducible
+                     else [m.exponents for m in action.ring.monomial_basis(d)])
         return _reynolds_images(action, monomials)
 
     return _sweep(action, _degree_bound(action, max_degree), candidates)
@@ -505,10 +566,12 @@ def invariants_linear_algebra(
 ) -> list[Polynomial]:
     """Minimal invariant generators from per-degree fixed-space bases.
 
-    Needs no Reynolds operator, so it also works when the characteristic
-    divides |G|.  Without an explicit bound the default is |G|, which
-    requires the closure; if the closure cannot be computed a bound is
-    mandatory.
+    Needs no Reynolds operator, so it runs when the characteristic divides
+    |G| too, but there a fixed-space vector is kept when it is new modulo
+    the ideal of the earlier generators, not the algebra, so it can miss
+    generators; only Kemper's certificate (`_sweep`) proves a modular
+    result.  Without an explicit bound the default is |G|, which requires
+    the closure; if the closure cannot be computed a bound is mandatory.
     """
     return _linear_sweep(action, max_degree)[0]
 
@@ -526,5 +589,5 @@ def _linear_sweep(action: FiniteGroupAction,
     else:
         bound = _degree_bound(action, max_degree)
     return _sweep(
-        action, bound, lambda engine, d, monomials: invariant_space_basis(action, d)
+        action, bound, lambda engine, d, standard: invariant_space_basis(action, d)
     )

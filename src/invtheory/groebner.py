@@ -584,10 +584,10 @@ def degree_sweep(ring: PolynomialRing, degrees, candidates, complete):
     homogeneous candidates a pair's sugar is its lcm degree), and each of
     ``candidates(engine, d)`` is kept when its normal form is nonzero.  A
     kept candidate adds only pairs above degree d, since no earlier lead
-    divides its lead.  Once something is kept, ``complete(engine, d)`` says
-    after each degree whether nothing new exists above d, which stops the
-    sweep.  Returns the kept candidates, unchanged and in order, and whether
-    ``complete`` held.
+    divides its lead.  Once something is kept, ``complete(engine, d, kept)``
+    says after each degree whether nothing new exists above d, which stops
+    the sweep.  Returns the kept candidates, unchanged and in order, and
+    whether ``complete`` held.
     """
     engine = _IncrementalGroebner(ring)
     kept: list[Polynomial] = []
@@ -596,7 +596,7 @@ def degree_sweep(ring: PolynomialRing, degrees, candidates, complete):
         for f in candidates(engine, d):
             if engine.add_generator(f):
                 kept.append(f)
-        if kept and complete(engine, d):
+        if kept and complete(engine, d, kept):
             return kept, True
     return kept, False
 

@@ -137,7 +137,9 @@ class PolynomialRing:
         return f"{self.field}[{', '.join(self.names)}]"
 
 
-@lru_cache(maxsize=2)  # a degree sweep asks for degrees d and d + 1 in turn
+# Callers walk one degree at a time, and `verify_generators` asks for each
+# degree twice in a row (the expected and the spanned dimension).
+@lru_cache(maxsize=1)
 def _monomial_basis(n: int, order: TermOrder, degree: int) -> tuple[Monomial, ...]:
     """The degree-d monomials leading-first.  `_compositions` lists their
     exponents in descending lex order; reversed, with each tuple reversed,

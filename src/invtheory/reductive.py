@@ -99,7 +99,7 @@ def _minimal_generators(polys: list[Polynomial]) -> list[Polynomial]:
         ring,
         sorted({f.degree() for f in ordered}),
         lambda engine, d: [f for f in ordered if f.degree() == d],
-        lambda engine, d: False,
+        lambda engine, d, kept: False,
     )
     return [f.monic() for f in kept]
 
@@ -222,7 +222,7 @@ def reductive_invariants(action: LinearlyReductiveAction) -> list[Polynomial]:
         return []
     top = max(h.degree() for h in ideal)
 
-    def generated(engine, d: int) -> bool:
+    def generated(engine, d: int, kept) -> bool:
         engine.process_to(top)
         return all(engine.reduces_to_zero(h) for h in ideal)
 

@@ -48,9 +48,13 @@ class DegreeCheck:
 class RingOfInvariants:
     """Computed generators of an invariant ring together with the action
     they came from and the algorithm that produced them.  ``complete`` is
-    whether the generators are proven to generate: a finite-group sweep cut
-    by a degree cap before a proof, or run in the modular case, is not;
-    diagonal and reductive rings always are."""
+    whether the generators are proven to generate.  A finite-group sweep
+    proves it by King's stop or by reaching |G| when the characteristic
+    does not divide |G|, and by Kemper's certificate (n invariants whose
+    degrees multiply to |G|, forming a system of parameters) in every
+    characteristic; a sweep cut by a degree cap first is not complete, and
+    neither is a modular sweep without the certificate.  Diagonal and
+    reductive rings always are."""
 
     def __init__(self, action, generators, method: str, literal_q: int | None = None,
                  complete: bool = True):
