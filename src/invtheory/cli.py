@@ -177,14 +177,15 @@ def _load_action(data: dict):
         r = spec.get("torusRank", 0)
         orders = spec.get("cyclicOrders", [])
         weights = spec.get("weights")
-        if not isinstance(r, int) or r < 0:
+        # type(...) is int: JSON true and false load as bools, an int subclass
+        if type(r) is not int or r < 0:
             _fail("action.torusRank", "expected a non-negative integer")
         if not isinstance(orders, list) or not all(
-            isinstance(d, int) and d >= 2 for d in orders
+            type(d) is int and d >= 2 for d in orders
         ):
             _fail("action.cyclicOrders", "expected a list of integers >= 2")
         if not isinstance(weights, list) or not all(
-            isinstance(row, list) and all(isinstance(w, int) for w in row)
+            isinstance(row, list) and all(type(w) is int for w in row)
             for row in weights
         ):
             _fail("action.weights", "expected a matrix of integers")
@@ -450,8 +451,6 @@ def _cmd_hilbert_series(args, action, kind, literal_q, elapsed_from):
 def _cmd_verify(args, action, kind, literal_q, elapsed_from):
     inv = _compute_ring(args, action, kind, literal_q, use_max_degree=False)
     depth = args.max_degree if args.max_degree is not None else 6
-    if depth < 1:
-        raise _UsageError("--max-degree: expected a positive integer")
     report = verify_generators(inv, depth)
     records = [
         {
@@ -497,6 +496,8 @@ def run_command(argv) -> int:
         if args.command is None:
             raise _UsageError("a subcommand is required "
                               f"(one of: {', '.join(SUBCOMMANDS)})")
+        if getattr(args, "max_degree", None) is not None and args.max_degree < 1:
+            raise _UsageError("--max-degree: expected a positive integer")
         started = time.perf_counter()
         action, kind, literal_q = _read_input(args.input)
     except _UsageError as exc:

@@ -103,6 +103,7 @@ class FiniteGroupAction:
         self._sparse_closure: tuple | None = None
         # Built on first use, like the closure.
         self._generator_subs: tuple[_Substitution, ...] | None = None
+        self._closure_subs: tuple[_Substitution, ...] | None = None
         # The last orbit walked, so King's sweep and the Reynolds image of
         # its candidate share one walk.
         self._last_orbit: tuple[tuple[int, ...], _Orbit] | None = None
@@ -156,6 +157,12 @@ class FiniteGroupAction:
         if self._generator_subs is None:
             self._generator_subs = tuple(_Substitution(self.ring, g) for g in self.generators)
         return self._generator_subs
+
+    def _closure_substitutions(self) -> tuple["_Substitution", ...]:
+        """One substitution per closure element, for `_dense_reynolds`."""
+        if self._closure_subs is None:
+            self._closure_subs = tuple(_Substitution(self.ring, g) for g in self.group_closure())
+        return self._closure_subs
 
     def _is_monomial(self) -> bool:
         """Whether every generator is a permutation matrix times scalars."""
@@ -318,8 +325,8 @@ def _dense_reynolds(action: FiniteGroupAction, f: Polynomial) -> Polynomial:
     are not monomial, and the reference the orbit path is tested against."""
     field = action.ring.field
     acc: dict[tuple[int, ...], object] = {}
-    for g in action.group_closure():
-        _accumulate(acc, _Substitution(action.ring, g).apply(f).terms, field)
+    for sub in action._closure_substitutions():
+        _accumulate(acc, sub.apply(f).terms, field)
     return _from_dict(action.ring, acc) * field.from_pair(1, action.order())
 
 

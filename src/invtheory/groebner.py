@@ -29,12 +29,16 @@ keys do, and a pair's lcm is H(a) + H(b) - H(gcd(a, b)), the gcd nonzero
 only on the leads' shared support.  A lead divides a monomial when
 subtracting it from the monomial with every guard bit set clears none of
 them; the leads sit side by side in one integer, so one subtraction tests
-them all (`poly.Staircase`, which the diagonal solvers share).  The fields
-start narrow.  An input, S-polynomial or reduction step that would set a
-guard bit makes the engine double the width, repack what it holds and redo
-the call, so exponents are unbounded.
-Polynomials and the engine's calls from outside keep exponent tuples; the
-engine converts on entry and exit.
+them all (`poly.Staircase`, which the diagonal solvers share).  The engine
+holds each element once: its lead as an exponent tuple and coefficient, the
+rest keyed by packed monomials.  The fields start narrow.  A product of a
+shift and a held term sets a field's guard bit exactly when that field
+overflows, since both are below 2^(w - 1) there and nothing carries into the
+next field; an S-polynomial or reduction step that makes such a term makes
+the engine double the width, repack what it holds from the old fields and
+redo the call, so exponents are unbounded.  Polynomials keep exponent
+tuples; the engine converts on entry (`_to_internal`) and exit (`reducer`,
+`reduced_elements`).
 
 One reducer serves both fields with one integer pseudo-reduction loop.
 Each step scales the work by lead/gcd(coeff, lead) and subtracts
@@ -119,15 +123,15 @@ def reducer(ring: PolynomialRing, divisors):
     in ``ring`` whose engine is loaded once for every call."""
     engine = _IncrementalGroebner(ring)
     for g in divisors:
-        engine._load(engine._integral(g)[0])
+        engine._load(engine._to_internal(g))
 
     def remainder(f: Polynomial) -> Polynomial:
         work, denominator = engine._integral(f)
         reduced = engine.reduce(engine._pack_terms(work))
         up, down = engine.last_scale
-        scalar = ring.field.from_pair
+        scalar, unpack = ring.field.from_pair, engine._unpack
         return _from_dict(
-            ring, {e: scalar(v * down, denominator * up) for e, v in reduced.items()})
+            ring, {unpack(h): scalar(v * down, denominator * up) for h, v in reduced.items()})
 
     return remainder
 
@@ -151,7 +155,7 @@ class SubstitutionRemainders:
             raise OrderMismatch("substitution remainders need a grevlex ring")
         self.engine = engine = _IncrementalGroebner(ring)
         for g in divisors:
-            engine._load(engine._integral(g)[0])
+            engine._load(engine._to_internal(g))
         self.proper = not engine.lead_divides((0,) * ring.n)  # else every NF is 0
         self.images = [engine._integral(img) for img in images]
         self.top = max((sum(e) for img, _ in self.images for e in img), default=1)
@@ -206,29 +210,29 @@ class SubstitutionRemainders:
 # ---------------------------------------------------------------------------
 
 
-def _check_weights(weights, n: int):
-    """The weights as a tuple of n ints >= 1, or None when they are absent
-    or all ones; raises ValueError on any other weights."""
+def _check_weights(weights, n: int) -> tuple[int, ...]:
+    """The weights as a tuple of n ints >= 1, all ones when absent; raises
+    ValueError on any other weights."""
     if weights is None:
-        return None
+        return (1,) * n
     weights = tuple(weights)
     if len(weights) != n:
         raise ValueError(f"{len(weights)} weights for {n} variables")
     for w in weights:
         if isinstance(w, bool) or not isinstance(w, int) or w < 1:
             raise ValueError(f"weights must be integers >= 1, got {w!r}")
-    return None if all(w == 1 for w in weights) else weights
+    return weights
 
 
 class _IncrementalGroebner:
     """Buchberger engine that supports adding generators and raising the
     processed-degree watermark, as King-style algorithms need.
 
-    Over Q, elements are primitive integer-coefficient term dicts with a
-    positive lead coefficient; over F_p they are monic mod p.  ``elements``
-    and ``leads`` hold exponent tuples, the reducer packed monomials.
-    Degrees and sugars are taken in ``weights``, one per variable (see
-    `_check_weights`); None, or all ones, is the standard degree.
+    Each element is held once: ``leads[i]`` is its lead as (exponent tuple,
+    coefficient) and ``elements[i]`` the rest of it, keyed by packed
+    monomials.  Over Q the coefficients are primitive integers with a
+    positive lead; over F_p the element is monic mod p.  Degrees and sugars
+    are taken in ``weights``, one per variable (see `_check_weights`).
     """
 
     def __init__(self, ring: PolynomialRing, weights=None):
@@ -236,7 +240,7 @@ class _IncrementalGroebner:
         self.p = ring.field.characteristic() or None
         self.n = ring.n
         self.weights = _check_weights(weights, ring.n)
-        self.elements: list[dict] = []
+        self.elements: list[dict] = []  # each element without its lead, packed
         self.leads: list[tuple[tuple[int, ...], int]] = []  # (exp, coeff)
         self.support: list[int] = []  # bit v set when the lead's exponent v > 0
         self.degrees: list[int] = []  # the lead's weighted degree
@@ -256,6 +260,8 @@ class _IncrementalGroebner:
         components (a degree is below n 2^(width - 1)), so packed monomials
         compare as their keys do; H(e) = sum_v e_v H(unit_v)."""
         n = self.n
+        # unpacked while self.width still names the fields they were packed in
+        tails = [[(self._unpack(h), c) for h, c in tail.items()] for tail in self.elements]
         self.width = width
         key_width = width + n.bit_length()
         self._units = []
@@ -267,12 +273,11 @@ class _IncrementalGroebner:
         self._stairs = Staircase(n, width)  # the exponent parts of the leads
         self.guard = self._stairs.guard
         self._lead_h = self._stairs.held  # the packed leads
-        self._tails: list[dict] = []  # the element without its lead, packed
-        self._ceilings: list[int] = []  # the packed componentwise max exponent
-        for work in self.elements:
-            self._index(work, {self._pack(e): e for e in work})
-        leads = self.leads
-        self.heap = [(s, self._pack(tuple(map(max, leads[i][0], leads[j][0]))), i, j)
+        pack, leads = self._pack, self.leads
+        for lead, _ in leads:
+            self._stairs.add(pack(lead))
+        self.elements = [{pack(e): c for e, c in tail} for tail in tails]
+        self.heap = [(s, pack(tuple(map(max, leads[i][0], leads[j][0]))), i, j)
                      for s, _, i, j in self.heap]
         # element i and its queued partners k, as bit (k + 1) slot - 1 like `divisors`
         self._open = [self._bit(k) for k in range(len(self.elements))]
@@ -301,21 +306,12 @@ class _IncrementalGroebner:
         return tuple(h >> (width * v) & mask for v in range(self.n))
 
     def _degree(self, exp: tuple[int, ...]) -> int:
-        weights = self.weights
-        return sum(exp) if weights is None else sum(map(operator.mul, exp, weights))
+        return sum(map(operator.mul, exp, self.weights))
 
     def _pack_terms(self, work: dict) -> dict:
         self._fit(work)
         pack = self._pack
         return {pack(e): c for e, c in work.items()}
-
-    def _index(self, work: dict, packed: dict) -> None:
-        """Hold the element ``work`` packed as well; ``packed`` maps each of
-        its monomials, packed, to its exponent."""
-        lead_h = max(packed)
-        self._stairs.add(lead_h)
-        self._tails.append({h: work[e] for h, e in packed.items() if h != lead_h})
-        self._ceilings.append(self._pack(tuple(map(max, zip(*work)))))
 
     # -- conversions ----------------------------------------------------------
 
@@ -356,16 +352,14 @@ class _IncrementalGroebner:
 
     def reduce(self, work: dict) -> dict:
         """Full normal form of packed terms (`_to_internal`'s output) in
-        internal arithmetic, keyed by exponent tuples: up/down times the
-        exact remainder, with ``self.last_scale = (up, down)`` positive.
-        When a product would set a guard bit, the fields are widened and
-        the reduction starts over."""
+        internal arithmetic, packed: up/down times the exact remainder, with
+        ``self.last_scale = (up, down)`` positive.  When a product would set
+        a guard bit, the fields are widened and the reduction starts over."""
         while (result := self._remainder(work)) is None:
             exps = {self._unpack(h): c for h, c in work.items()}
             self._set_width(2 * self.width)
             work = self._pack_terms(exps)
-        unpack = self._unpack
-        return {unpack(h): c for h, c in result.items()}
+        return result
 
     def _remainder(self, work: dict):
         """`reduce` on packed terms, leaving ``work`` as it is; None when a
@@ -377,7 +371,7 @@ class _IncrementalGroebner:
         ``work`` keeps a term that cancels, at 0, until it is popped."""
         p = self.p
         guard, slot, divisors = self.guard, self._stairs.slot, self._stairs.divisors
-        leads, tails, ceilings = self.leads, self._tails, self._ceilings
+        leads, tails = self.leads, self.elements
         push, pop = heapq.heappush, heapq.heappop
         work = dict(work)
         heap = [-h for h in work]
@@ -396,8 +390,6 @@ class _IncrementalGroebner:
                 continue
             idx = (found & -found).bit_length() // slot - 1  # the first divisor
             shift = h - self._lead_h[idx]
-            if (shift + ceilings[idx]) & guard:
-                return None
             lead_coeff = leads[idx][1]
             lam = math.gcd(coeff, lead_coeff)
             scale = lead_coeff // lam
@@ -410,6 +402,8 @@ class _IncrementalGroebner:
                 up *= scale
             for g, g_coeff in tails[idx].items():
                 target = shift + g
+                if target & guard:
+                    return None
                 value = work.get(target)
                 if value is None:
                     push(heap, -target)
@@ -459,27 +453,25 @@ class _IncrementalGroebner:
                 shared &= shared - 1
                 low = min(lead_i[v], lead_new[v])
                 lcm -= low * units[v]
-                degree -= low if weights is None else low * weights[v]
+                degree -= low * weights[v]
             heapq.heappush(self.heap, (degree + max(excess[i], excess_new), lcm, i, new_index))
             open_[i] |= bit_new
             partners |= 1 << ((i + 1) * slot - 1)
         open_[new_index] |= partners
 
     def _load(self, work: dict, sugar: int | None = None) -> None:
-        """Append a nonzero element, keyed by exponent tuples, as a divisor,
-        queuing no pairs.  Without a sugar, the lead's degree stands in for
-        it."""
-        self._fit(work)
-        packed = {self._pack(e): e for e in work}
-        lead = packed[max(packed)]
-        work = self._normalize(work, work[lead])
-        self.elements.append(work)
-        self.leads.append((lead, work[lead]))
+        """Append a nonzero element, packed, as a divisor, queuing no pairs.
+        Without a sugar, the lead's degree stands in for it."""
+        lead_h = max(work)
+        work = self._normalize(work, work[lead_h])
+        lead = self._unpack(lead_h)
+        self.elements.append({h: c for h, c in work.items() if h != lead_h})
+        self.leads.append((lead, work[lead_h]))
         self.support.append(support_mask(lead))
         self.degrees.append(self._degree(lead))
         self.excess.append(0 if sugar is None else sugar - self.degrees[-1])
         self._open.append(self._bit(len(self.elements) - 1))
-        self._index(work, packed)
+        self._stairs.add(lead_h)
 
     def _append(self, work: dict, sugar: int) -> None:
         self._load(work, sugar)
@@ -493,9 +485,7 @@ class _IncrementalGroebner:
             return False
         reduced = self.reduce(self._to_internal(f))
         if reduced:
-            sugar = f.degree() if self.weights is None else max(
-                self._degree(e) for e, _ in f.terms)
-            self._append(reduced, sugar)
+            self._append(reduced, max(self._degree(e) for e, _ in f.terms))
         return bool(reduced)
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
@@ -503,24 +493,22 @@ class _IncrementalGroebner:
 
     def _spoly(self, i: int, j: int, lcm: int) -> dict:
         """The S-polynomial of elements i and j with packed lcm ``lcm``,
-        packed; the fields are widened first if a product would set a guard
-        bit."""
+        packed; built again in wider fields while a term sets a guard bit."""
+        c_i, c_j = self.leads[i][1], self.leads[j][1]
+        lam = math.gcd(c_i, c_j)  # leads are 1 over F_p, so the multipliers are too
+        mult_i, mult_j = c_j // lam, c_i // lam
         while True:
-            shift_i = lcm - self._lead_h[i]
-            shift_j = lcm - self._lead_h[j]
-            if not ((shift_i + self._ceilings[i]) | (shift_j + self._ceilings[j])) & self.guard:
+            # the leads cancel
+            shift_i, shift_j = lcm - self._lead_h[i], lcm - self._lead_h[j]
+            out = {shift_i + h: mult_i * c for h, c in self.elements[i].items()}
+            for h, c in self.elements[j].items():
+                target = shift_j + h
+                out[target] = out.get(target, 0) - mult_j * c
+            if not any(h & self.guard for h in out):
                 break
             exp = self._unpack(lcm)
             self._set_width(2 * self.width)
             lcm = self._pack(exp)
-        c_i, c_j = self.leads[i][1], self.leads[j][1]
-        lam = math.gcd(c_i, c_j)  # leads are 1 over F_p, so the multipliers are too
-        mult_i, mult_j = c_j // lam, c_i // lam
-        # the leads cancel
-        out = {shift_i + h: mult_i * c for h, c in self._tails[i].items()}
-        for h, c in self._tails[j].items():
-            target = shift_j + h
-            out[target] = out.get(target, 0) - mult_j * c
         if self.p is not None:
             out = {h: c % self.p for h, c in out.items()}
         return {h: c for h, c in out.items() if c}
@@ -553,21 +541,20 @@ class _IncrementalGroebner:
         # Each tail is reduced by all kept elements, its own included: a lead
         # never divides a smaller term.
         divisors = _IncrementalGroebner(self.ring)
-        kept: list[int] = []
+        kept = []
         for idx in order:
-            if not divisors.lead_divides(self.leads[idx][0]):
-                divisors._load(self.elements[idx])
-                kept.append(idx)
-        final = []
-        for idx in kept:
             lead, coeff = self.leads[idx]
-            tail = {e: v for e, v in self.elements[idx].items() if e != lead}
+            if not divisors.lead_divides(lead):
+                tail = {self._unpack(h): c for h, c in self.elements[idx].items()}
+                divisors._load(divisors._pack_terms({lead: coeff, **tail}))
+                kept.append((lead, coeff, tail))
+        final = []
+        for lead, coeff, tail in kept:
             reduced = divisors.reduce(divisors._pack_terms(tail))
             up, down = divisors.last_scale
-            if down != 1:
-                reduced = {e: v * down for e, v in reduced.items()}
-            reduced[lead] = coeff * up
-            final.append(self.to_polynomial(reduced))
+            work = {divisors._unpack(h): v * down for h, v in reduced.items()}
+            work[lead] = coeff * up
+            final.append(self.to_polynomial(work))
         return final
 
 
@@ -625,7 +612,7 @@ def buchberger(
         raise ValueError("need at least one nonzero polynomial")
     ring = polys[0].ring
     weights = _check_weights(weights, ring.n)
-    if weights is not None and truncation_degree is not None:
+    if truncation_degree is not None and any(w != 1 for w in weights):
         raise ValueError("a truncation degree needs unweighted sugar")
     for f in polys[1:]:
         if f.ring != ring:
@@ -683,8 +670,7 @@ def elimination_ideal(polys, eliminate, weights=None) -> list[Polynomial]:
             {tuple(e[i] for i in mapping): c for e, c in f.terms}
         )
 
-    if weights is not None:
-        weights = [weights[i] for i in perm]
+    weights = [weights[i] for i in perm]
     basis = buchberger([permute(f, work_ring, perm) for f in polys], weights=weights)
     target_ring = PolynomialRing(ring.field, tuple(tail), TermOrder.grevlex())
     survivors = []

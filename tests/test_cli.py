@@ -214,6 +214,28 @@ def test_diagonal_orders_and_literal_q_are_checked_on_input(tmp_path, capsys):
     assert err.startswith("error: action.literalQ: ")
 
 
+def test_non_positive_max_degree_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, A4_DOC)
+    for command in ("invariants", "defining-ideal", "hilbert-ideal", "verify"):
+        for value in ("0", "-2"):
+            code, _, err = run(capsys, [command, path, "--max-degree", value])
+            assert code == 1, (command, value)
+            assert err == "error: --max-degree: expected a positive integer\n"
+
+
+def test_json_booleans_are_not_diagonal_integers(tmp_path, capsys):
+    action = dict(TORUS_DOC["action"], torusRank=1, weights=[[5, True, -1, 4]])
+    cases = [
+        ("action.weights", dict(TORUS_DOC, action=action)),
+        ("action.torusRank", dict(TORUS_DOC, action=dict(action, weights=[[5, -3, -1, 4]],
+                                                        torusRank=True))),
+    ]
+    for field, doc in cases:
+        code, _, err = run(capsys, ["invariants", write(tmp_path, doc)])
+        assert code == 1, field
+        assert err.startswith(f"error: {field}: "), err
+
+
 def test_malformed_names_and_polynomial_entries_exit_one(tmp_path, capsys):
     sl2 = SL2_DOC["action"]
     cases = [

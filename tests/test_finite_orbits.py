@@ -198,6 +198,31 @@ def test_s4_in_root_coordinates_uses_the_dense_path():
     assert_invariant(action, lin)
 
 
+def test_dense_reynolds_builds_each_substitution_once(monkeypatch):
+    import invtheory.finite as finite
+
+    built = []
+    real_init = finite._Substitution.__init__
+
+    def counting_init(self, ring, g):
+        built.append(g)
+        real_init(self, ring, g)
+
+    monkeypatch.setattr(finite._Substitution, "__init__", counting_init)
+    ring = polynomial_ring(QQ, ("x", "y", "z"))
+    action = FiniteGroupAction(ring, [
+        [[-1, 0, 0], [1, 1, 0], [0, 0, 1]],
+        [[1, 1, 0], [0, -1, 0], [0, 1, 1]],
+        [[1, 0, 0], [0, 1, 1], [0, 0, -1]],
+    ])
+    rng = random.Random(11)
+    for _ in range(5):
+        f = random_polynomial(ring, rng)
+        rf = reynolds(action, f)
+        assert reynolds(action, rf) == rf
+    assert len(built) <= action.order() + len(action.generators)
+
+
 def signed_permutations_b4():
     ring = polynomial_ring(QQ, [f"x{i + 1}" for i in range(4)])
     sign = [[-1 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]

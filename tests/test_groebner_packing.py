@@ -70,7 +70,8 @@ def test_reduction_widens_the_fields_and_starts_over():
     remainder = engine.reduce(engine._to_internal(ring.parse("x^3")))
     assert engine.width == 32
     up, down = engine.last_scale
-    assert {e: v * down // up for e, v in remainder.items()} == {(0, 90000, 0): 8}
+    assert {engine._unpack(h): v * down // up for h, v in remainder.items()} == {
+        (0, 90000, 0): 8}
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -103,7 +104,7 @@ def test_reduction_queues_each_term_once(monkeypatch):
     ring = polynomial_ring(QQ, ("x", "y", "z"), order=TermOrder.lex())
     engine = _IncrementalGroebner(ring)
     for text in ("x*y - y^2", "x*z + y^2 - y*z", "y^3 - z^3", "y^2*z - z^2"):
-        engine._load(engine._integral(ring.parse(text))[0])
+        engine._load(engine._to_internal(ring.parse(text)))
     pushed = []
     real_push = heapq.heappush
 
@@ -118,6 +119,48 @@ def test_reduction_queues_each_term_once(monkeypatch):
     assert remainder
     assert pushed
     assert len(pushed) == len(set(pushed))
+
+
+def held_exponents(engine):
+    """Everything the engine holds packed, unpacked in its current fields."""
+    unpack = engine._unpack
+    return ([{unpack(h): c for h, c in tail.items()} for tail in engine.elements],
+            list(engine.leads), [unpack(h) for h in engine._lead_h],
+            [(s, unpack(lcm), i, j) for s, lcm, i, j in engine.heap])
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("order", PACKING_ORDERS, ids=str)
+def test_widening_repacks_from_the_old_fields(order, p, monkeypatch):
+    returned = []
+    for name in ("reduce", "_spoly"):
+        real = getattr(_IncrementalGroebner, name)
+
+        def checked(self, *args, real=real):
+            out = real(self, *args)
+            returned.append(not any(h & self.guard for h in out))
+            return out
+
+        monkeypatch.setattr(_IncrementalGroebner, name, checked)
+    field = QQ if p is None else prime_field(p)
+    ring = polynomial_ring(field, ("x", "y", "z"), order=order)
+    polys = [ring.parse("x*y^5 - z^6 + y"), ring.parse("x^2*z - y^3")]
+    engine = _IncrementalGroebner(ring)
+    for f in polys:
+        engine.add_generator(f)
+    assert engine.heap
+    before = held_exponents(engine)
+    assert before[2] == [lead for lead, _ in engine.leads]
+    engine._set_width(2 * engine.width)
+    assert held_exponents(engine) == before
+    engine.process_to(None)
+    # exponents near the guard bits: reduction steps overflow and start over
+    width = engine.width
+    for text in ("x^120*y^120*z^120", "x^126*y^3 + z^126", "x^127*z^127 - y"):
+        assert engine.reduce(engine._to_internal(ring.parse(text)))
+    assert engine.width > width
+    assert returned and all(returned)
+    assert engine.reduced_elements() == list(buchberger(polys).elements)
 
 
 # ---------------------------------------------------------------------------
