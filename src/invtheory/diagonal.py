@@ -8,13 +8,19 @@ the cyclic rows, so everything here is integer combinatorics on exponent
 vectors; the invariant ring is generated by monomials and the minimal
 generating set is unique.
 
-Two solvers compute it.  A degree-graded congruence sieve handles actions
-with no torus, and literal GF(q) mode, where the torus rows become
-congruences mod q-1.  Every other action is one Contejean-Devie completion
-in which each cyclic row is an equation in a slack variable of its own.
-Both keep exponent vectors packed into one int each and test a vector
-against every accepted one at once with `poly.Staircase`, the Groebner
-engine's divisibility test.
+Actions with no torus, and literal GF(q) mode, where the torus rows become
+congruences mod q-1, are finite: their invariant exponents form a lattice
+L of finite index |H| in Z^n, and column j has a finite order o_j.  Every
+generator but the o_j e_j lies in the box prod [0, o_j), which holds
+prod o_j / |H| points of L, read off a Hermite basis of L (the primal
+algorithm of Normaliz, Bruns and Ichim, J. Algebra 2010, on the orthant as
+its one simplicial cone).  A degree-graded congruence sieve visits at least
+|H| - 1 vectors instead, so it runs only where the box would hold more
+than |H| points.  Every other action is one Contejean-Devie completion in
+which each cyclic row is an equation in a slack variable of its own.  All
+of them keep exponent vectors packed into ints and test a vector against
+every accepted one at once with `poly.Staircase`, the Groebner engine's
+divisibility test.
 """
 
 from __future__ import annotations
@@ -100,28 +106,121 @@ def _by_degree(vec: tuple[int, ...]):
 
 
 # ---------------------------------------------------------------------------
-# finite abelian part: congruence sieve
+# finite abelian part: the lattice's box, or a congruence sieve
 # ---------------------------------------------------------------------------
 
 
 def _congruence_generators(moduli, rows, n: int) -> list[tuple[int, ...]]:
     """Minimal generators of {a in N^n : rows[i].a = 0 mod moduli[i] for all i}.
 
-    Degree-graded sieve over the staircase complement of the accepted
-    generators: a level holds the vectors with no accepted divisor, so a
-    weight-zero vector on a level is irreducible, and once a level empties no
-    further irreducible vectors exist.  A vector grows only at coordinates
-    from its last nonzero one on, so each vector has exactly one parent, and
-    that parent is on the previous level: it has no accepted divisor either,
-    and it is not weight-zero, since the vector would then lie above it.
+    They are the minimal nonzero points of N^n in the lattice L of solutions
+    in Z^n.  Column j has an order o_j in the group H of residues, so o_j e_j
+    is one of them, and any other, x, has every x_j < o_j: else x - o_j e_j
+    would be a smaller one.  So the box prod [0, o_j) holds every generator
+    but the o_j e_j, and L has prod o_j / |H| points in it.  The sieve visits
+    every nonzero standard monomial of the ideal the generators span, at
+    least |H| - 1 of them, since those monomials span K[x] over the
+    invariants, of rank |H|.  So the box is searched exactly when
+    prod o_j / |H| <= |H|, and the sieve runs otherwise.  The moduli must be
+    positive.
+    """
+    orders, basis = _lattice(moduli, rows, n)
+    if math.prod(orders) <= math.prod(b[j] for j, b in enumerate(basis)) ** 2:
+        return _box_generators(orders, basis)
+    return _sieve_generators(moduli, rows, n)
 
-    The moduli must be positive.  Vectors are packed ints in fields of
-    (L + 1).bit_length() + 1 bits, L = lcm(moduli), and never reach a guard
-    bit: column j has some order o_j dividing L in the group of residues, so
-    o_j e_j is weight-zero and accepted on level o_j; a survivor's entry j
-    thus stays below o_j, and a visited vector's entry j is at most o_j.
-    A vector's row weights are packed too, as sums below n L max(moduli)
-    that are reduced mod each modulus only when the vector is tested.
+
+def _lattice(moduli, rows, n: int):
+    """The orders o_j = lcm_i d_i / gcd(d_i, w_ij) and a triangular basis of
+    the solution lattice L of `_congruence_generators`.
+
+    The basis is the Hermite form of the vectors (residues of column j | e_j)
+    and (d_i e_i | 0) in Z^(r + n), reduced column by column by integer row
+    operations.  The r residue columns come first, so the rows with their
+    pivots after them have residues 0 and span L.  Basis row j is zero before
+    entry j and positive there, and these entries multiply to |H| =
+    [Z^n : L].
+    """
+    r = len(moduli)
+    orders = [math.lcm(*(d // math.gcd(d, row[j]) for row, d in zip(rows, moduli)))
+              for j in range(n)]
+    pending = [[row[j] % d for row, d in zip(rows, moduli)] + [int(k == j) for k in range(n)]
+               for j in range(n)]
+    pending += [[d * (k == i) for k in range(r)] + [0] * n for i, d in enumerate(moduli)]
+    basis = []
+    for col in range(r + n):
+        live = [v for v in pending if v[col]]
+        pending = [v for v in pending if not v[col]]
+        while len(live) > 1:  # Euclid down the column
+            pivot = min(live, key=lambda v: abs(v[col]))
+            rest = []
+            for v in live:
+                if v is not pivot:
+                    v = [a - v[col] // pivot[col] * b for a, b in zip(v, pivot)]
+                    (rest if v[col] else pending).append(v)
+            live = rest + [pivot]
+        if live and col >= r:  # L has full rank, so every such column has one
+            sign = 1 if live[0][col] > 0 else -1
+            basis.append(tuple(sign * a for a in live[0][r:]))
+    return orders, basis
+
+
+def _box_points(orders, basis) -> list[tuple[int, ...]]:
+    """The points of L in the box prod [0, o_j), 0 included.
+
+    With h_j the basis' diagonal, they are the sums sum_j t_j b_j reduced mod
+    o, 0 <= t_j < o_j / h_j: entry j of a sum is fixed by t_1..t_j, and h_j
+    divides o_j (o_j e_j lies in L), so the choices of t_j give distinct
+    residues mod o_j.  That makes prod o_j / |H| distinct points of L in the
+    box, which are all of them.  The sums are packed ints, the b_j reduced
+    mod o first, in fields that hold n (max o)^2 without a carry.
+    """
+    n = len(orders)
+    top = max(orders, default=1)
+    wide = (n * top * top).bit_length()
+    shifts = range(0, wide * n, wide)
+    sums = [0]
+    for j, (row, o) in enumerate(zip(basis, orders)):
+        step = sum(a % m << s for a, m, s in zip(row, orders, shifts))
+        sums = [h + t * step for h in sums for t in range(o // row[j])]
+    mask = (1 << wide) - 1
+    return [tuple((h >> s & mask) % m for s, m in zip(shifts, orders)) for h in sums]
+
+
+def _box_generators(orders, basis) -> list[tuple[int, ...]]:
+    """The minimal vectors among {o_j e_j} and the nonzero box points, in
+    `_by_degree` order: a candidate is kept when no kept one divides it."""
+    n = len(orders)
+    units = [tuple(o * (k == j) for k in range(n)) for j, o in enumerate(orders)]
+    candidates = sorted([v for v in _box_points(orders, basis) if any(v)] + units,
+                        key=_by_degree)
+    width = max(orders, default=1).bit_length() + 1
+    stairs = Staircase(n, width)
+    kept = []
+    for vec in candidates:
+        h = sum(a << (width * j) for j, a in enumerate(vec))
+        if not stairs.divisors(h):
+            stairs.add(h)
+            kept.append(vec)
+    return kept
+
+
+def _sieve_generators(moduli, rows, n: int) -> list[tuple[int, ...]]:
+    """`_congruence_generators` by a degree-graded sieve over the staircase
+    complement of the accepted generators: a level holds the vectors with no
+    accepted divisor, so a weight-zero vector on a level is irreducible, and
+    once a level empties no further irreducible vectors exist.  A vector
+    grows only at coordinates from its last nonzero one on, so each vector
+    has exactly one parent, and that parent is on the previous level: it has
+    no accepted divisor either, and it is not weight-zero, since the vector
+    would then lie above it.
+
+    Vectors are packed ints in fields of (L + 1).bit_length() + 1 bits,
+    L = lcm(moduli), and never reach a guard bit: o_j divides L, and o_j e_j
+    is weight-zero and accepted on level o_j; a survivor's entry j thus stays
+    below o_j, and a visited vector's entry j is at most o_j.  A vector's row
+    weights are packed too, as sums below n L max(moduli) that are reduced
+    mod each modulus only when the vector is tested.
     """
     top = math.lcm(*moduli)
     width = (top + 1).bit_length() + 1
@@ -269,7 +368,7 @@ def _completion(vectors, width: int = 16) -> list[tuple[int, ...]]:
 def diagonal_invariants(action: DiagonalAction) -> list[Monomial]:
     """Minimal monomial generators of the invariant ring of the action.
 
-    With no torus the congruence sieve answers directly.  Otherwise one
+    With no torus `_congruence_generators` answers directly.  Otherwise one
     Hilbert basis is taken over n + s columns: the torus rows padded with s
     zeros, and each cyclic row j of order d_j rewritten as the equation
     (w mod d_j) . a - d_j s_j = 0 in a slack s_j of its own (Sturmfels,

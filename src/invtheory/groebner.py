@@ -535,9 +535,16 @@ class _IncrementalGroebner:
 
     # -- extraction ----------------------------------------------------------------
 
-    def reduced_elements(self) -> list[Polynomial]:
-        """Monic inter-reduced basis, sorted ascending by lead term."""
-        order = sorted(range(len(self.elements)), key=self._lead_h.__getitem__)
+    def reduced_elements(self, block: int = 0) -> list[Polynomial]:
+        """Monic inter-reduced basis, sorted ascending by lead term; with
+        ``block`` k, only its elements free of the first k variables.
+
+        Under an order eliminating those k variables, an element whose lead
+        is free of them lies wholly in the subring, and a lead dividing a
+        subring monomial is such a lead too; so leaving the other elements
+        out changes neither which of these are minimal nor their tails."""
+        order = sorted((i for i, (lead, _) in enumerate(self.leads) if not any(lead[:block])),
+                       key=self._lead_h.__getitem__)
         # Each tail is reduced by all kept elements, its own included: a lead
         # never divides a smaller term.
         divisors = _IncrementalGroebner(self.ring)
@@ -645,6 +652,7 @@ def elimination_ideal(polys, eliminate, weights=None) -> list[Polynomial]:
 
     The variables are reordered internally so the eliminated block leads an
     elimination order; results live in a ring on the remaining variables.
+    Only the basis elements free of that block are inter-reduced.
     ``weights`` are `buchberger`'s, one per variable of the polys' ring.
     """
     polys = [f for f in polys if not f.is_zero()]
@@ -665,18 +673,11 @@ def elimination_ideal(polys, eliminate, weights=None) -> list[Polynomial]:
     position = {name: i for i, name in enumerate(ring.names)}
     perm = [position[name] for name in head + tail]
 
-    def permute(f: Polynomial, target: PolynomialRing, mapping) -> Polynomial:
-        return target.from_terms(
-            {tuple(e[i] for i in mapping): c for e, c in f.terms}
-        )
-
-    weights = [weights[i] for i in perm]
-    basis = buchberger([permute(f, work_ring, perm) for f in polys], weights=weights)
+    engine = _IncrementalGroebner(work_ring, [weights[i] for i in perm])
+    for f in polys:
+        engine.add_generator(work_ring.from_terms({tuple(e[i] for i in perm): c
+                                                   for e, c in f.terms}))
+    engine.process_to(None)
     target_ring = PolynomialRing(ring.field, tuple(tail), TermOrder.grevlex())
-    survivors = []
-    for g in basis.elements:
-        if all(all(e[i] == 0 for i in range(k)) for e, _ in g.terms):
-            survivors.append(
-                target_ring.from_terms({e[k:]: c for e, c in g.terms})
-            )
-    return survivors
+    return [target_ring.from_terms({e[k:]: c for e, c in g.terms})
+            for g in engine.reduced_elements(k)]

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 import random
 import signal
 import time
@@ -23,7 +24,13 @@ from invtheory import (
     reynolds_diagonal,
     torus_hilbert_basis,
 )
-from invtheory.diagonal import _completion
+from invtheory.diagonal import (
+    _box_generators,
+    _box_points,
+    _completion,
+    _lattice,
+    _sieve_generators,
+)
 from test_acceptance import enumerate_invariant_vectors, minimal_vectors
 
 R4 = polynomial_ring(QQ, ("x_1", "x_2", "x_3", "x_4"))
@@ -245,6 +252,39 @@ def test_literal_paper_example_over_gf9():
     }
 
 
+def test_literal_paper_torus_over_gf81():
+    # the degree sieve visits every standard monomial, at least |H| - 1 =
+    # 255,999 of them (1.4 s on a 2-core Xeon VM); the box holds 160 points
+    with wall_budget(1):
+        got = [m.exponents for m in diagonal_invariants_literal(TORUS_ACTION, 81)]
+    assert got == [
+        (1, 1, 2, 0), (0, 0, 0, 80), (0, 0, 80, 0), (0, 40, 40, 0), (0, 80, 0, 0),
+        (20, 60, 0, 0), (40, 0, 40, 0), (40, 40, 0, 0), (60, 20, 0, 0), (80, 0, 0, 0)]
+
+
+def test_box_visits_prod_orders_over_index_lattice_points():
+    for q, size in ((25, 48), (81, 160)):
+        orders, basis = _lattice([q - 1] * 3, W_TORUS, 4)
+        assert all(row[:j] == (0,) * j and row[j] > 0 for j, row in enumerate(basis))
+        points = _box_points(orders, basis)
+        assert len(set(points)) == len(points) == size
+        assert size * math.prod(row[j] for j, row in enumerate(basis)) == math.prod(orders)
+        for p in points:
+            assert all(a < o for a, o in zip(p, orders))
+            assert is_invariant_exponent(TORUS_ACTION, p, q)
+    cases = [
+        # q = 2: every modulus is 1, so the box is {0} and the units are the answer
+        ([1, 1, 1], W_TORUS, 4, [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]),
+        # the middle column is 0 mod 6, so its order is 1
+        ([6], [[2, 6, 3]], 3, [(0, 1, 0), (0, 0, 2), (3, 0, 0)]),
+        ([12], [[8]], 1, [(3,)]),
+    ]
+    for moduli, rows, n, expect in cases:
+        orders, basis = _lattice(moduli, rows, n)
+        assert _box_points(orders, basis) == [(0,) * n]
+        assert _box_generators(orders, basis) == expect == plain_congruence_sieve(moduli, rows, n)
+
+
 def test_literal_degenerate_and_small_fields():
     assert [m.exponents for m in diagonal_invariants_literal(TORUS_ACTION, 2)] == [
         (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
@@ -421,6 +461,7 @@ def test_congruence_sieve_matches_plain_reference():
 
 
 def compare_with_plain_sieve(rng):
+    sides = set()
     for q in (3, 4, 5, 7, 8, 9, 16, 25):
         for _ in range(6):
             n = rng.randint(1, 3 if q > 9 else 4)
@@ -438,6 +479,30 @@ def compare_with_plain_sieve(rng):
             if orders:
                 got = [m.exponents for m in abelian_generators(orders, weights[r:])]
                 assert got == plain_congruence_sieve(orders, weights[r:], n)
+            sides.add(assert_both_paths([q - 1] * r + orders, weights, n))
+    # three torus rows over larger fields, where the box is mostly the cheaper
+    for q in (25, 49, 81):
+        for _ in range(3):
+            n = rng.randint(2, 3 if q == 25 else 2)
+            weights = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(3)]
+            sides.add(assert_both_paths([q - 1] * 3, weights, n))
+    # one small cyclic factor on many variables, where the sieve is
+    for d in (2, 3, 5):
+        n = rng.randint(3, 5)
+        sides.add(assert_both_paths([d], [[rng.randrange(1, d) for _ in range(n)]], n))
+    assert sides == {"box", "sieve"}
+
+
+def assert_both_paths(moduli, rows, n):
+    """Both private paths agree with the plain sieve; which one the selection
+    rule takes."""
+    expect = plain_congruence_sieve(moduli, rows, n)
+    orders, basis = _lattice(moduli, rows, n)
+    assert _box_generators(orders, basis) == expect
+    assert _sieve_generators(moduli, rows, n) == expect
+    index = math.prod(row[j] for j, row in enumerate(basis))
+    assert len(_box_points(orders, basis)) * index == math.prod(orders)
+    return "box" if math.prod(orders) <= index ** 2 else "sieve"
 
 
 def mixed_action(torus, orders, cyclic):
