@@ -5,11 +5,14 @@ Q[x_1..x_n] through an n x n matrix of polynomials in the z's: the variable
 x_i is sent to the linear form given by row i.  Two routes to the invariants
 are provided (Derksen, *Computation of invariants for reductive groups*,
 Adv. Math. 1999).  Elimination of the group variables from the graph of the
-action yields the Hilbert ideal; a degree-by-degree linear solve modulo the
-group ideal yields an invariant vector-space basis, and sweeping degrees up
-to the top Hilbert-ideal degree produces minimal algebra generators.  The
-solve builds each reduced sigma(m) from the degree below
-(`groebner.SubstitutionRemainders`), never expanding sigma(m) afresh.
+action yields the Hilbert ideal I; a degree-by-degree linear solve modulo the
+group ideal yields an invariant vector-space basis.  Minimal algebra
+generators are swept only in the degrees of I's minimal generators (graded
+Nakayama).  In the lowest of them, d0, I_d0 is the space of degree-d0
+invariants, so it needs no solve, once the generators there pass the guard
+that h(y) - h(x) lies in the graph ideal.  The solve builds each reduced
+sigma(m) from the degree below (`groebner.SubstitutionRemainders`), never
+expanding sigma(m) afresh.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from .errors import (
     NonZeroCharacteristic,
     RingMismatch,
 )
-from .groebner import SubstitutionRemainders, buchberger, degree_sweep, elimination_ideal
-from .linalg import nullspace
+from .groebner import (
+    SubstitutionRemainders, buchberger, degree_sweep, elimination_ideal, reducer,
+)
+from .linalg import nullspace, rref
 from .poly import Polynomial, PolynomialRing, fresh_names, polynomial_ring
 
 
@@ -127,14 +132,10 @@ def _expansion(action: LinearlyReductiveAction):
     return action._expansion
 
 
-def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
-    """Minimal homogeneous generators of the ideal of the target ring spanned
-    by all positive-degree invariants.
-
-    Eliminates the group variables from the graph relations y_i - image_i
-    together with the group ideal, then sets every y to zero.  The
-    generators need not be invariant themselves.
-    """
+def _hilbert_ideal(action: LinearlyReductiveAction):
+    """The minimal generators `hilbert_ideal` returns, and the reduced basis
+    of B ∩ Q[x, y] (grevlex, x before y) they are projected from, where B is
+    the group ideal plus the graph relations y_i - image_i."""
     gring, tring = action.group_ring, action.target_ring
     n = tring.n
     _, images, _ = _expansion(action)
@@ -163,7 +164,18 @@ def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
                 "the action matrix does not preserve the grading"
             )
         projected.append(h)
-    return _minimal_generators(projected)
+    return _minimal_generators(projected), eliminated
+
+
+def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
+    """Minimal homogeneous generators of the ideal of the target ring spanned
+    by all positive-degree invariants.
+
+    Eliminates the group variables from the graph relations y_i - image_i
+    together with the group ideal, then sets every y to zero.  The
+    generators need not be invariant themselves.
+    """
+    return _hilbert_ideal(action)[0]
 
 
 def reductive_invariant_basis(action: LinearlyReductiveAction, degree: int) -> list[Polynomial]:
@@ -209,27 +221,49 @@ def reductive_invariant_basis(action: LinearlyReductiveAction, degree: int) -> l
 
 
 def reductive_invariants(action: LinearlyReductiveAction) -> list[Polynomial]:
-    """Minimal invariant homogeneous generators of the Hilbert ideal, which
+    """Minimal invariant homogeneous generators of the Hilbert ideal I, which
     are likewise minimal algebra generators of the ring of invariants.
 
-    Sweeps degrees up to the largest Hilbert-ideal generator degree, keeping
-    invariant basis elements independent modulo the ideal of those already
-    accepted, and stops as soon as the accepted set generates the Hilbert
-    ideal.
+    By graded Nakayama the sweep keeps, in each degree, as many invariants as
+    I has minimal generators there, so only those degrees are swept; it keeps
+    invariants independent modulo the ideal of those already accepted and
+    stops once they generate I.  In the lowest degree d0, I has nothing below,
+    so I_d0 = R^G_d0: the candidates are the reduced echelon form of I's
+    degree-d0 generators, and only higher degrees solve
+    `reductive_invariant_basis`.  Those generators are checked first: h is
+    invariant exactly when h(y) - h(x) lies in B ∩ Q[x, y], B the graph ideal
+    the elimination already holds a basis of.  A failed check, like a sweep
+    that does not generate I, raises IncompleteGeneration.
     """
-    ideal = hilbert_ideal(action)
+    ideal, graph = _hilbert_ideal(action)
     if not ideal:
         return []
-    top = max(h.degree() for h in ideal)
+    tring = action.target_ring
+    degrees = sorted({h.degree() for h in ideal})
+    d0, top = degrees[0], degrees[-1]
+    lowest = [h for h in ideal if h.degree() == d0]
+    xy = graph[0].ring
+    in_graph = reducer(xy, graph)
+    # d0 = 0 only for the unit ideal: V(group ideal) is empty
+    if d0 < 1 or any(not in_graph(_embed(h, xy, tring.n) - _embed(h, xy, 0)).is_zero()
+                     for h in lowest):
+        raise IncompleteGeneration(
+            f"Hilbert ideal generators of degree {d0} are not positive-degree invariants; "
+            "the action is not a valid linearly reductive group action"
+        )
+    monos = tring.monomial_basis(d0)
+    rows, _ = rref([[h.coefficient(m) for m in monos] for h in lowest], tring.field)
+    echelon = [tring.from_terms({monos[c].exponents: v for c, v in enumerate(row) if v})
+               for row in rows]
 
     def generated(engine, d: int, kept) -> bool:
         engine.process_to(top)
         return all(engine.reduces_to_zero(h) for h in ideal)
 
     found, complete = degree_sweep(
-        action.target_ring,
-        range(1, top + 1),
-        lambda engine, d: reductive_invariant_basis(action, d),
+        tring,
+        degrees,
+        lambda engine, d: echelon if d == d0 else reductive_invariant_basis(action, d),
         generated,
     )
     if complete:
