@@ -539,33 +539,26 @@ def _reynolds_images(action: FiniteGroupAction, monomials):
 
 
 def invariants_king(
-    action: FiniteGroupAction,
-    max_degree: int | None = None,
-    skip_reducible: bool = True,
+    action: FiniteGroupAction, max_degree: int | None = None
 ) -> list[Polynomial]:
     """Minimal invariant generators by Reynolds images of monomials.
 
     Degree by degree up to the bound (|G| by default), a truncated Groebner
     basis of the ideal of found generators is maintained; a monomial whose
     Reynolds image has nonzero normal form contributes a new generator.
-    ``skip_reducible`` tries only the standard monomials, those outside the
-    lead ideal at the start of the degree, which does not change the
-    output.  For a monomial group each orbit is tried once per degree.  The
-    sweep stops early on King's stop or Kemper's certificate (`_sweep`).
+    Only the standard monomials, those outside the lead ideal at the start
+    of the degree, are tried.  For a monomial group each orbit is tried once
+    per degree.  The sweep stops early on King's stop or Kemper's
+    certificate (`_sweep`).
     """
-    return _king_sweep(action, max_degree, skip_reducible)[0]
+    return _king_sweep(action, max_degree)[0]
 
 
-def _king_sweep(action: FiniteGroupAction, max_degree: int | None,
-                skip_reducible: bool = True) -> tuple[list[Polynomial], bool]:
+def _king_sweep(action: FiniteGroupAction,
+                max_degree: int | None) -> tuple[list[Polynomial], bool]:
     """`invariants_king` and whether its generators are complete."""
-
-    def candidates(engine, d, standard):
-        monomials = (standard() if skip_reducible
-                     else [m.exponents for m in action.ring.monomial_basis(d)])
-        return _reynolds_images(action, monomials)
-
-    return _sweep(action, _degree_bound(action, max_degree), candidates)
+    return _sweep(action, _degree_bound(action, max_degree),
+                  lambda engine, d, standard: _reynolds_images(action, standard()))
 
 
 def invariants_linear_algebra(

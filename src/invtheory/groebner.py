@@ -57,7 +57,6 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 from .errors import InhomogeneousTruncation, OrderMismatch, RingMismatch
@@ -134,75 +133,6 @@ def reducer(ring: PolynomialRing, divisors):
             ring, {unpack(h): scalar(v * down, denominator * up) for h, v in reduced.items()})
 
     return remainder
-
-
-class SubstitutionRemainders:
-    """Normal forms modulo the nonzero ``divisors`` of sigma(m) - m for the
-    monomials m of one degree at a time: sigma sends the variable i of the
-    last len(images) of the grevlex ``ring``, which the divisors do not
-    involve, to ``images[i]``.
-
-    NF(sigma(x_i m')) = NF(NF(sigma(m')) sigma(x_i)): one integer product
-    and one reduction per monomial, from the degree below.  The last two
-    degrees are kept, each NF(sigma(m)) as primitive terms keyed by packed
-    monomials and a positive Fraction scale.  Under grevlex no reduction
-    raises the total degree, so degree d's exponents stay at most d times
-    the images' degree: the fields are fitted to that once per degree, and
-    what is kept is dropped if they widen."""
-
-    def __init__(self, ring: PolynomialRing, divisors, images):
-        if ring.order.kind != "grevlex":
-            raise OrderMismatch("substitution remainders need a grevlex ring")
-        self.engine = engine = _IncrementalGroebner(ring)
-        for g in divisors:
-            engine._load(engine._to_internal(g))
-        self.proper = not engine.lead_divides((0,) * ring.n)  # else every NF is 0
-        self.images = [engine._integral(img) for img in images]
-        self.top = max((sum(e) for img, _ in self.images for e in img), default=1)
-        self.levels: dict[int, dict] = {}  # degree -> {exponent: (terms, scale)}
-
-    def __call__(self, degree: int) -> dict:
-        """Each exponent e of the given degree -> (terms, c): c a positive
-        int and terms c (sigma(x^e) - x^e) reduced, keyed by packed
-        monomials that are valid until the next call."""
-        engine, levels, n = self.engine, self.levels, len(self.images)
-        if degree < 0:
-            return {}
-        if degree * self.top >> (engine.width - 1):
-            engine._fit(((degree * self.top,),))
-            levels.clear()
-        if degree not in levels and degree - 1 not in levels:
-            levels.clear()
-            levels[0] = {(0,) * n: ({0: 1} if self.proper else {}, Fraction(1))}
-        images = [([(engine._pack(e), v) for e, v in img.items()], den)
-                  for img, den in self.images]
-        for d in range(max(levels) + 1, degree + 1):
-            level = levels[d] = {}
-            for e, (terms, scale) in levels[d - 1].items():
-                first = next((v for v, a in enumerate(e) if a), n - 1)
-                for i in range(first + 1):  # x_i stays the first variable
-                    image, den = images[i]
-                    acc: dict = {}
-                    get = acc.get
-                    for h, v in terms.items():
-                        for g, w in image:
-                            k = h + g
-                            acc[k] = get(k, 0) + v * w
-                    result = engine._remainder(acc)  # the fields fit: never None
-                    up, down = engine.last_scale
-                    content = math.gcd(*result.values()) or 1
-                    level[e[:i] + (e[i] + 1,) + e[i + 1:]] = (
-                        {h: v // content for h, v in result.items()},
-                        scale * Fraction(down * content, up * den))
-            levels.pop(d - 2, None)
-        out = {}
-        for e, (terms, scale) in levels[degree].items():
-            column = {h: scale.numerator * v for h, v in terms.items()}
-            if self.proper:
-                h = engine._pack((0,) * (engine.n - n) + e)
-                column[h] = column.get(h, 0) - scale.denominator
-            out[e] = {h: v for h, v in column.items() if v}, scale.denominator
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 
 The group is the vanishing locus of an ideal in Q[z_1..z_m] and acts on
 Q[x_1..x_n] through an n x n matrix of polynomials in the z's: the variable
-x_i is sent to the linear form given by row i.  Two routes to the invariants
-are provided (Derksen, *Computation of invariants for reductive groups*,
-Adv. Math. 1999).  Elimination of the group variables from the graph of the
-action yields the Hilbert ideal I; a degree-by-degree linear solve modulo the
-group ideal yields an invariant vector-space basis.  Minimal algebra
-generators are swept only in the degrees of I's minimal generators (graded
-Nakayama).  In the lowest of them, d0, I_d0 is the space of degree-d0
-invariants, so it needs no solve, once the generators there pass the guard
-that h(y) - h(x) lies in the graph ideal.  The solve builds each reduced
-sigma(m) from the degree below (`groebner.SubstitutionRemainders`), never
-expanding sigma(m) afresh.
+x_i is sent to the linear form given by row i.  One elimination yields
+everything (Derksen, *Computation of invariants for reductive groups*, Adv.
+Math. 1999).  Let B be the group ideal plus the graph relations y_i - image_i
+in Q[z, x, y].  Eliminating the z's gives B ∩ Q[x, y]; setting every y to
+zero there gives the Hilbert ideal I, and h is invariant exactly when
+h(y) - h(x) lies in B ∩ Q[x, y].  So one reducer modulo that basis serves
+the degree-by-degree linear solve for an invariant vector-space basis.
+Minimal algebra generators are swept only in the degrees of I's minimal
+generators (graded Nakayama).  In the lowest of them, d0, I_d0 is the space
+of degree-d0 invariants, so it needs no solve, once the generators there
+pass the same membership test.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ import math
 from .errors import (
     DimensionMismatch,
     IncompleteGeneration,
-    NonHomogeneousResult,
     NonZeroCharacteristic,
     RingMismatch,
 )
-from .groebner import (
-    SubstitutionRemainders, buchberger, degree_sweep, elimination_ideal, reducer,
-)
+from .groebner import degree_sweep, elimination_ideal, reducer
 from .linalg import nullspace, rref
 from .poly import Polynomial, PolynomialRing, fresh_names, polynomial_ring
 
@@ -64,7 +61,7 @@ class LinearlyReductiveAction:
             tuple(self._coerce(group_ring, entry) for entry in row)
             for row in rows
         )
-        self._expansion = None
+        self._graph = None
 
     @staticmethod
     def _coerce(ring: PolynomialRing, value) -> Polynomial:
@@ -83,12 +80,10 @@ class LinearlyReductiveAction:
         )
 
 
-def _embed(f: Polynomial, ring: PolynomialRing, offset: int) -> Polynomial:
-    pad = ring.n - offset - f.ring.n
-    acc = {
-        (0,) * offset + exp + (0,) * pad: coeff for exp, coeff in f.terms
-    }
-    return ring.from_terms(acc)
+def _embed(f: Polynomial, ring: PolynomialRing) -> Polynomial:
+    """f in a ring whose first variables are f's."""
+    pad = (0,) * (ring.n - f.ring.n)
+    return ring.from_terms({exp + pad: coeff for exp, coeff in f.terms})
 
 
 def _minimal_generators(polys: list[Polynomial]) -> list[Polynomial]:
@@ -109,62 +104,45 @@ def _minimal_generators(polys: list[Polynomial]) -> list[Polynomial]:
     return [f.monic() for f in kept]
 
 
-def _expansion(action: LinearlyReductiveAction):
-    """Ring Q[z, x] (grevlex), the image of each x_i under the generic group
-    element, and the `SubstitutionRemainders` of those images modulo the
-    group ideal's Groebner basis there; built once per action."""
-    if action._expansion is None:
+def _graph(action: LinearlyReductiveAction):
+    """The minimal generators `hilbert_ideal` returns, the ring Q[x, y]
+    (grevlex, x before y) and one `reducer` modulo B ∩ Q[x, y], where B is
+    the group ideal plus the graph relations y_i - image_i; built once per
+    action by one elimination."""
+    if action._graph is None:
         gring, tring = action.group_ring, action.target_ring
-        m = gring.n
-        combined = polynomial_ring(
-            tring.field, tuple(gring.names) + tuple(tring.names)
+        m, n = gring.n, tring.n
+        ynames = fresh_names(
+            n, set(gring.names) | set(tring.names), ("y", "w", "v", "h")
         )
-        images = []
-        for row in action.matrix:
-            img = combined.zero()
+        combined = polynomial_ring(
+            tring.field, tuple(gring.names) + tuple(tring.names) + ynames
+        )
+        relations = [_embed(f, combined) for f in action.group_ideal]
+        for i, row in enumerate(action.matrix):
+            image = combined.zero()
             for j, entry in enumerate(row):
                 if not entry.is_zero():
-                    img = img + _embed(entry, combined, 0) * combined.variable(m + j)
-            images.append(img)
-        basis = buchberger([_embed(f, combined, 0) for f in action.group_ideal])
-        action._expansion = (combined, images, SubstitutionRemainders(
-            combined, basis.elements, images))
-    return action._expansion
+                    image = image + _embed(entry, combined) * combined.variable(m + j)
+            relations.append(combined.variable(m + n + i) - image)
+        eliminated = elimination_ideal(relations, eliminate=gring.names)
+        # B is homogeneous for deg x = deg y = 1, deg z = 0, so its reduced
+        # basis is too under any order, and setting y = 0 keeps each element
+        # homogeneous: no projected generator can be inhomogeneous
+        projected = [tring.from_terms({exp[:n]: coeff for exp, coeff in g.terms
+                                       if not any(exp[n:])}) for g in eliminated]
+        xy = polynomial_ring(tring.field, tuple(tring.names) + ynames)
+        action._graph = (_minimal_generators([h for h in projected if not h.is_zero()]),
+                         xy, reducer(xy, eliminated))
+    return action._graph
 
 
-def _hilbert_ideal(action: LinearlyReductiveAction):
-    """The minimal generators `hilbert_ideal` returns, and the reduced basis
-    of B ∩ Q[x, y] (grevlex, x before y) they are projected from, where B is
-    the group ideal plus the graph relations y_i - image_i."""
-    gring, tring = action.group_ring, action.target_ring
-    n = tring.n
-    _, images, _ = _expansion(action)
-    ynames = fresh_names(
-        n, set(gring.names) | set(tring.names), ("y", "w", "v", "h")
-    )
-    combined = polynomial_ring(
-        tring.field, tuple(gring.names) + tuple(tring.names) + ynames
-    )
-    relations = [_embed(f, combined, 0) for f in action.group_ideal]
-    relations += [
-        combined.variable(gring.n + n + i) - _embed(img, combined, 0)
-        for i, img in enumerate(images)
-    ]
-    eliminated = elimination_ideal(relations, eliminate=gring.names)
-    projected: list[Polynomial] = []
-    for g in eliminated:
-        h = tring.from_terms(
-            {exp[:n]: coeff for exp, coeff in g.terms if not any(exp[n:])}
-        )
-        if h.is_zero():
-            continue
-        if not h.is_homogeneous():
-            raise NonHomogeneousResult(
-                "Hilbert ideal generator is not homogeneous; "
-                "the action matrix does not preserve the grading"
-            )
-        projected.append(h)
-    return _minimal_generators(projected), eliminated
+def _shift(action: LinearlyReductiveAction, h: Polynomial) -> Polynomial:
+    """h(y) - h(x) in the graph's Q[x, y]: its normal form is zero exactly
+    when h is invariant."""
+    pad = (0,) * action.target_ring.n
+    return _graph(action)[1].from_terms(
+        [(pad + e, c) for e, c in h.terms] + [(e + pad, -c) for e, c in h.terms])
 
 
 def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
@@ -175,49 +153,42 @@ def hilbert_ideal(action: LinearlyReductiveAction) -> list[Polynomial]:
     together with the group ideal, then sets every y to zero.  The
     generators need not be invariant themselves.
     """
-    return _hilbert_ideal(action)[0]
+    return list(_graph(action)[0])
 
 
 def reductive_invariant_basis(action: LinearlyReductiveAction, degree: int) -> list[Polynomial]:
     """Reduced-echelon basis of the invariant polynomials of the given degree.
 
-    Takes c_m (sigma(m) - m), c_m > 0, modulo the group ideal in Q[z, x] for
-    every degree-`degree` monomial m, and solves the integer system saying
-    that every surviving term vanishes.  The group basis has leads in z
-    alone, so reduction keeps each term's x-part and the solution does not
-    depend on the group ring's order.
+    h is invariant exactly when h(y) - h(x) lies in B ∩ Q[x, y] (`_graph`),
+    so the invariants are the kernel of the linear map m -> NF(m(y) - m(x))
+    on the degree-`degree` monomials m: one equation per surviving term.
+    This holds for any group ideal, since Q[z, x, y]/B is Q[z, x]/(group
+    ideal) by y -> sigma(x), and the reduced echelon basis of a kernel does
+    not depend on the group ring's order.
     """
     tring = action.target_ring
     monos = tring.monomial_basis(degree)
     if not monos:
         return []
-    columns = _expansion(action)[2](degree)
+    in_graph = _graph(action)[2]
     width = len(monos)
-    rows_map: dict = {}
-    scales = []
+    entries: dict = {}  # surviving term -> {column: coefficient}
     for col, mono in enumerate(monos):
-        terms, scale = columns[mono.exponents]
-        scales.append(scale)
-        for h, v in terms.items():
-            row = rows_map.get(h)
-            if row is None:
-                row = rows_map[h] = [0] * width
-            row[col] = v
+        for h, v in in_graph(_shift(action, tring.monomial(mono))).terms:
+            entries.setdefault(h, {})[col] = v
     # One row per surviving term, in the order met (the kernel does not depend
     # on it), made primitive with a positive first entry and without repeats.
     rows: dict = {}
-    for row in rows_map.values():
-        content = math.gcd(*row) * (1 if next(filter(None, row)) > 0 else -1)
-        rows[tuple(row) if content == 1 else tuple([v // content for v in row])] = None
-    basis = []
-    # column j is scales[j] times the true one; scaling back keeps the echelon
-    # shape, and dividing by the pivot makes it reduced again
-    for vec in nullspace(list(rows), width, tring.field):
-        vec = [v * c for v, c in zip(vec, scales)]
-        pivot = next(v for v in vec if v)
-        basis.append(tring.from_terms(
-            {monos[col].exponents: v / pivot for col, v in enumerate(vec) if v}))
-    return basis
+    for entry in entries.values():
+        den = math.lcm(*(v.denominator for v in entry.values()))
+        ints = {col: v.numerator * (den // v.denominator) for col, v in entry.items()}
+        content = math.gcd(*ints.values()) * (1 if next(iter(ints.values())) > 0 else -1)
+        row = [0] * width
+        for col, v in ints.items():
+            row[col] = v // content
+        rows[tuple(row)] = None
+    return [tring.from_terms({monos[col].exponents: v for col, v in enumerate(vec) if v})
+            for vec in nullspace(list(rows), width, tring.field)]
 
 
 def reductive_invariants(action: LinearlyReductiveAction) -> list[Polynomial]:
@@ -235,18 +206,15 @@ def reductive_invariants(action: LinearlyReductiveAction) -> list[Polynomial]:
     the elimination already holds a basis of.  A failed check, like a sweep
     that does not generate I, raises IncompleteGeneration.
     """
-    ideal, graph = _hilbert_ideal(action)
+    ideal, _, in_graph = _graph(action)
     if not ideal:
         return []
     tring = action.target_ring
     degrees = sorted({h.degree() for h in ideal})
     d0, top = degrees[0], degrees[-1]
     lowest = [h for h in ideal if h.degree() == d0]
-    xy = graph[0].ring
-    in_graph = reducer(xy, graph)
     # d0 = 0 only for the unit ideal: V(group ideal) is empty
-    if d0 < 1 or any(not in_graph(_embed(h, xy, tring.n) - _embed(h, xy, 0)).is_zero()
-                     for h in lowest):
+    if d0 < 1 or any(not in_graph(_shift(action, h)).is_zero() for h in lowest):
         raise IncompleteGeneration(
             f"Hilbert ideal generators of degree {d0} are not positive-degree invariants; "
             "the action is not a valid linearly reductive group action"

@@ -289,13 +289,13 @@ def test_linear_algebra_needs_bound_when_closure_unavailable():
 
 
 def test_king_monomial_skipping_preserves_algebra_and_degrees():
-    # the toggle may pick different orbit representatives at a given degree,
-    # but the generated ideal and the degree multiset must not move
+    # King tries only standard monomials; the fixed-space sweep tries every
+    # invariant, so both must reach the same degrees and the same ideal
     from invtheory import buchberger
-    fast = invariants_king(A4, skip_reducible=True)
-    slow = invariants_king(A4, skip_reducible=False)
-    assert [f.degree() for f in fast] == [f.degree() for f in slow]
-    assert buchberger(fast).elements == buchberger(slow).elements
+    king = invariants_king(A4)
+    linear = invariants_linear_algebra(A4)
+    assert [f.degree() for f in king] == [f.degree() for f in linear] == [1, 2, 3, 4, 6]
+    assert buchberger(king).elements == buchberger(linear).elements
 
 
 def test_king_modular_case_rejected():

@@ -1,5 +1,6 @@
 """Tests for linearly reductive actions given by a group ideal and action matrix."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from invtheory import (
     reductive_invariants,
     substitute,
 )
+import invtheory.reductive as reductive
 from invtheory.linalg import nullspace
 
 GROUP_RING = polynomial_ring(QQ, ("z11", "z12", "z21", "z22"))
@@ -267,8 +269,42 @@ EMPTY = LinearlyReductiveAction(
     polynomial_ring(QQ, ("z",)), ["z", "z-1"], [["z", "1"], ["0", "z"]], ROTATION_RING)
 
 
+def relabelled(action, perm):
+    """The same action with target variable i renamed to position perm[i]
+    and the matrix conjugated to match."""
+    names = action.target_ring.names
+    target = [""] * len(names)
+    matrix = [[None] * len(names) for _ in names]
+    for i, row in enumerate(action.matrix):
+        target[perm[i]] = names[i]
+        for j, entry in enumerate(row):
+            matrix[perm[i]][perm[j]] = entry
+    return LinearlyReductiveAction(action.group_ring, action.group_ideal, matrix,
+                                   polynomial_ring(QQ, target))
+
+
+def torus(weights):
+    """diag(t^a_1, ..., t^a_n) for t in the circle V(zw - 1), t^-1 = w."""
+    n = len(weights)
+    matrix = [["0"] * n for _ in range(n)]
+    for i, a in enumerate(weights):
+        matrix[i][i] = f"z^{a}" if a > 0 else f"w^{-a}" if a < 0 else "1"
+    return LinearlyReductiveAction(
+        polynomial_ring(QQ, ("z", "w")), ["z*w-1"], matrix,
+        polynomial_ring(QQ, tuple(f"x{i + 1}" for i in range(n))))
+
+
+def seeded_tori(count, seed=21):
+    rng = random.Random(seed)
+    return [torus([rng.randint(-3, 3) for _ in range(rng.randint(3, 5))])
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("action, top", [(SL2, 6), (CUBIC, 4), (ROTATION, 4), (MULT, 4),
-                                         (O2, 4), (TRIVIAL, 3), (EMPTY, 3)])
+                                         (O2, 4), (TRIVIAL, 3), (EMPTY, 3),
+                                         (relabelled(CUBIC, (2, 0, 3, 1)), 4),
+                                         (relabelled(CUBIC, (3, 2, 0, 1)), 4)]
+                         + [(action, 4) for action in seeded_tori(10)])
 def test_invariant_basis_matches_the_definition(action, top):
     for d in range(-1, top + 1):
         assert reductive_invariant_basis(action, d) == definition_basis(action, d)
@@ -316,3 +352,20 @@ def test_invariant_basis_when_exponents_outgrow_the_cached_degrees():
     assert len(reductive_invariant_basis(action, 2)) == 1
     assert reductive_invariant_basis(action, 6) == definition_basis(SL2, 6)
     assert reductive_invariant_basis(action, 2) == definition_basis(SL2, 2)
+
+
+def test_kernel_rows_are_keyed_in_x_and_y(monkeypatch):
+    # B ∩ Q[x, y] already holds every relation Q[z, x] spreads over
+    # z-monomials, so each degree's system has few rows per column
+    shapes = []
+
+    def counting(rows, ncols, field):
+        shapes.append((len(rows), ncols))
+        return nullspace(rows, ncols, field)
+
+    monkeypatch.setattr(reductive, "nullspace", counting)
+    for action, top in ((fresh_quadric_action(), 6), (CUBIC, 4)):
+        for d in range(1, top + 1):
+            reductive_invariant_basis(action, d)
+    assert len(shapes) == 10
+    assert all(rows <= 2 * ncols for rows, ncols in shapes), shapes
