@@ -137,8 +137,7 @@ class PolynomialRing:
         return f"{self.field}[{', '.join(self.names)}]"
 
 
-# Callers walk one degree at a time, and `verify_generators` asks for each
-# degree twice in a row (the expected and the spanned dimension).
+# Callers walk one degree at a time.
 @lru_cache(maxsize=1)
 def _monomial_basis(n: int, order: TermOrder, degree: int) -> tuple[Monomial, ...]:
     """The degree-d monomials leading-first.  `_compositions` lists their
@@ -227,6 +226,20 @@ def _packed_integral(terms, pack) -> tuple[list[tuple[int, int]], int]:
     denominators, and that lcm; an F_p scalar is its own numerator over 1."""
     den = math.lcm(*(c.denominator for _, c in terms))
     return [(pack(exp), c.numerator * (den // c.denominator)) for exp, c in terms], den
+
+
+def _packed_product(a, b) -> dict[int, int]:
+    """The product of two lists of (packed exponent, integer coefficient)
+    terms, as a packed exponent -> integer dict; cancelled terms stay as 0.
+    The one multiplication kernel: `Polynomial.__mul__` runs it on cleared
+    polynomials, `rings.verify_generators` on generator products."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ha, ca in a:
+        for hb, cb in b:
+            h = ha + hb
+            acc[h] = get(h, 0) + ca * cb
+    return acc
 
 
 def _accumulate(acc: dict, terms, field, scale=None) -> None:
@@ -382,12 +395,7 @@ class Polynomial:
         pack, unpack = _packing(ring.n, self.degree() + other.degree())
         a, den_a = _packed_integral(short, pack)
         b, den_b = _packed_integral(long, pack)
-        acc: dict[int, int] = {}
-        get = acc.get
-        for ha, ca in a:
-            for hb, cb in b:
-                h = ha + hb
-                acc[h] = get(h, 0) + ca * cb
+        acc = _packed_product(a, b)
         p, den = ring.field.p, den_a * den_b
         scalar = (lambda c: c % p) if p else (lambda c: Fraction(c, den))
         return _from_dict(ring, dict(zip(map(unpack, acc), map(scalar, acc.values()))))

@@ -1,10 +1,12 @@
 """Univariate polynomials over Q and reduced rational functions in one
 variable T.  Used for Molien series and Hilbert series arithmetic; everything
-is exact Fraction arithmetic.
+is exact.  Coefficients are Fractions; division and the gcd clear their
+denominators once and run on integer coefficient lists.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InexactDivision, ZeroDenominator
@@ -98,25 +100,19 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """(quotient, remainder) over Q, by one pseudo-division over the
+        integers: with self = a / den_a and other = (g / den_b) b for integer
+        a and primitive b, s a = q b + r gives the quotient q den_b /
+        (s den_a g) and the remainder r / (s den_a)."""
         other = _as_unipoly(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        lead = other.coeffs[-1]
-        d = other.degree()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quo[shift] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[shift + j] -= factor * b
-            rem.pop()
-        return UniPoly(quo), UniPoly(rem)
+        a, den_a = _integral(self.coeffs)
+        b, den_b = _integral(other.coeffs)
+        g = _content(b)
+        scale, quo, rem = _pseudo_divmod(a, [c // g for c in b])
+        return (UniPoly(Fraction(q * den_b, scale * den_a * g) for q in quo),
+                UniPoly(Fraction(r, scale * den_a) for r in rem))
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         """Quotient when the division is exact; InexactDivision otherwise."""
@@ -126,13 +122,17 @@ class UniPoly:
         return quo
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic greatest common divisor."""
-        a, b = self, _as_unipoly(other)
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.coeffs[-1])
+        """Monic greatest common divisor, by primitive pseudo-remainders on
+        the integer coefficient lists (Brown, JACM 1971)."""
+        a, b = self.coeffs, _as_unipoly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not a:
+            return UniPoly.zero()
+        a, b = _primitive(_integral(a)[0]), _primitive(_integral(b)[0])
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+        return UniPoly(Fraction(c, a[-1]) for c in a)
 
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
@@ -182,6 +182,46 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
+
+
+def _integral(coeffs) -> tuple[list[int], int]:
+    """The coefficients times the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _content(coeffs: list[int]) -> int:
+    """The gcd of the integer coefficients, signed like the leading one."""
+    g = math.gcd(*coeffs)
+    return -g if coeffs and coeffs[-1] < 0 else g
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """The integer coefficients over their content: a positive lead."""
+    g = _content(coeffs)
+    return coeffs if g in (0, 1) else [c // g for c in coeffs]
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """(s, q, r) with s a = q b + r over the integers, s > 0 and deg r < deg b,
+    trailing zeros of r stripped; b's lead must be positive.  Each step
+    scales by lead/gcd(top, lead) and subtracts top/gcd(top, lead) times the
+    shifted b, so s = 1 whenever every quotient coefficient is integral."""
+    d, lead, scale = len(b) - 1, b[-1], 1
+    rem, quo = list(a), [0] * max(len(a) - d, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        top = rem.pop()
+        if top:
+            g = math.gcd(top, lead)
+            if g != lead:
+                step = lead // g
+                rem, quo, scale = [step * c for c in rem], [step * c for c in quo], scale * step
+            quo[shift] = top // g
+            for j in range(d):
+                rem[shift + j] -= quo[shift] * b[j]
+    while rem and not rem[-1]:
+        rem.pop()
+    return scale, quo, rem
 
 
 def _as_unipoly(value) -> UniPoly:

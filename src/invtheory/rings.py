@@ -22,7 +22,15 @@ from .finite import (
 )
 from .groebner import elimination_ideal
 from .linalg import rank
-from .poly import Polynomial, PolynomialRing, fresh_names, polynomial_ring
+from .poly import (
+    Polynomial,
+    PolynomialRing,
+    _packed_integral,
+    _packed_product,
+    _packing,
+    fresh_names,
+    polynomial_ring,
+)
 from .ratfunc import UniPoly
 from .reductive import (
     LinearlyReductiveAction,
@@ -125,13 +133,16 @@ def invariant_ring(
 def defining_ideal(inv: RingOfInvariants) -> list[Polynomial]:
     """Relations among the generators: the kernel of u_i -> f_i, presented in
     a fresh ring with one variable per generator."""
-    if inv._defining is not None:
-        return inv._defining
+    if inv._defining is None:
+        inv._defining = _defining_ideal(inv)
+    return list(inv._defining)
+
+
+def _defining_ideal(inv: RingOfInvariants) -> list[Polynomial]:
     gens = inv.generators
     ring = inv.ring
     if not gens:
-        inv._defining = []
-        return inv._defining
+        return []
     unames = fresh_names(len(gens), set(ring.names))
     combined = polynomial_ring(
         ring.field, tuple(ring.names) + unames
@@ -144,8 +155,7 @@ def defining_ideal(inv: RingOfInvariants) -> list[Polynomial]:
         relations.append(rel - combined.from_terms(acc))
     # u_i - f_i is homogeneous when u_i weighs deg f_i
     weights = (1,) * ring.n + tuple(max(f.degree(), 1) for f in gens)
-    inv._defining = elimination_ideal(relations, eliminate=ring.names, weights=weights)
-    return inv._defining
+    return elimination_ideal(relations, eliminate=ring.names, weights=weights)
 
 
 def hilbert_series_rewrite(inv: RingOfInvariants, degrees) -> UniPoly:
@@ -183,45 +193,58 @@ def _expected_dimension(inv: RingOfInvariants, degree: int) -> int:
 
 def _generator_products(inv: RingOfInvariants, max_degree: int):
     """For each degree 1..max_degree, every product of generators of that
-    degree.  A product is one generator times a product of lower degree
-    whose generators all come later in degree order, so each product is one
-    multiplication and no degree starts again from 1."""
-    gens = sorted(inv.generators, key=lambda f: f.degree())
+    degree, as a packed exponent -> integer dict.  Each generator is packed
+    and cleared of denominators once: that scales it by a positive constant,
+    so no rank changes; over F_p its scalars already are ints, and every
+    product is reduced mod p.  A product is one generator times a product of
+    lower degree whose generators all come later in degree order, so each
+    product is one multiplication and no degree starts again from 1."""
+    pack = _packing(inv.ring.n, max_degree)[0]
+    p = inv.ring.field.p
+    gens = sorted((f for f in inv.generators if f.degree() <= max_degree),
+                  key=lambda f: f.degree())
     degrees = [f.degree() for f in gens]
+    gens = [_packed_integral(f.terms, pack)[0] for f in gens]
     # per degree: (index of the product's first generator, product); the empty
     # product may be extended by every generator
-    levels = [[(len(gens), inv.ring.one())]]
+    levels = [[(len(gens), {0: 1})]]
     for degree in range(1, max_degree + 1):
         level = []
         for j, (g, d) in enumerate(zip(gens, degrees)):
             if d > degree:
                 break
-            level.extend((j, g * rest) for first, rest in levels[degree - d] if first >= j)
+            for first, rest in levels[degree - d]:
+                if first >= j:
+                    product = _packed_product(g, rest.items())
+                    if p:
+                        product = {h: c % p for h, c in product.items()}
+                    level.append((j, product))
         levels.append(level)
         yield [product for _, product in level]
 
 
-def _spanned_dimension(inv: RingOfInvariants, degree: int, products) -> int:
-    if not products:
-        return 0
-    monos = inv.ring.monomial_basis(degree)
-    index = {m.exponents: i for i, m in enumerate(monos)}
-    field = inv.ring.field
-    rows = []
-    for f in products:
-        row = [field.zero()] * len(monos)
-        for exp, coeff in f.terms:
-            row[index[exp]] = coeff
-        rows.append(row)
-    return rank(rows, field)
+def _spanned_dimension(inv: RingOfInvariants, products) -> int:
+    """Rank of the products' coefficient rows, one column per monomial that
+    occurs in them (the others are zero in every row)."""
+    columns = {h: j for j, h in enumerate(sorted(set().union(*products)))}
+
+    def row(product):
+        out = [0] * len(columns)
+        for h, c in product.items():
+            out[columns[h]] = c
+        return out
+
+    return rank(map(row, products), inv.ring.field)
 
 
 def verify_generators(inv: RingOfInvariants, max_degree: int) -> list[DegreeCheck]:
     """Per-degree comparison of the dimension spanned by generator products
     against an independently computed invariant-space dimension."""
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
     report = []
     for degree, products in enumerate(_generator_products(inv, max_degree), 1):
         expected = _expected_dimension(inv, degree)
-        actual = _spanned_dimension(inv, degree, products)
+        actual = _spanned_dimension(inv, products)
         report.append(DegreeCheck(degree, expected, actual, expected == actual))
     return report

@@ -134,3 +134,74 @@ def test_sum_equals_the_pairwise_sum():
 def test_sum_rejects_a_zero_denominator_among_other_terms():
     with pytest.raises(ZeroDenominator):
         rational_function_sum([RationalFunction(ONE, ONE - T), (T, UniPoly.zero()), (ONE, T)])
+
+
+# -- the integer division and gcd against Euclid over Fractions ---------------
+
+
+def fraction_divmod(a, b):
+    """Long division of ascending Fraction coefficient lists."""
+    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        factor = rem[shift + len(b) - 1] / b[-1]
+        quo[shift] = factor
+        for j, c in enumerate(b):
+            rem[shift + j] -= factor * c
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def fraction_gcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def seeded_unipoly(rng, top):
+    """Often fractional and non-monic; zero when the degree drawn is -1."""
+    return UniPoly(Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3, 7)))
+                   for _ in range(rng.randrange(0, top + 2)))
+
+
+def test_gcd_and_exact_division_match_fraction_euclid():
+    rng = random.Random(41)
+    for _ in range(200):
+        common = seeded_unipoly(rng, 3)
+        a = common * seeded_unipoly(rng, 4)
+        b = common * seeded_unipoly(rng, 4)
+        for x, y in ((a, b), (b, a), (a, UniPoly.zero()), (UniPoly.zero(), b), (a, a)):
+            g = x.gcd(y)
+            assert list(g.coeffs) == fraction_gcd(x.coeffs, y.coeffs)
+            if not g.is_zero():
+                assert g.coeffs[-1] == 1
+                quo = x.exact_div(g)
+                assert list(quo.coeffs) == fraction_divmod(x.coeffs, g.coeffs)[0]
+                assert quo * g == x
+        if not common.is_zero():
+            assert a.exact_div(common) * common == a
+
+
+def test_division_matches_fraction_long_division_and_inexact_still_raises():
+    rng = random.Random(43)
+    raised = 0
+    for _ in range(200):
+        a, b = seeded_unipoly(rng, 5), seeded_unipoly(rng, 3)
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.exact_div(b)
+            continue
+        quo, rem = fraction_divmod(a.coeffs, b.coeffs)
+        assert divmod(a, b) == (UniPoly(quo), UniPoly(rem))
+        if rem:
+            raised += 1
+            with pytest.raises(InexactDivision):
+                a.exact_div(b)
+        else:
+            assert list(a.exact_div(b).coeffs) == quo
+    assert raised > 100
+    with pytest.raises(InexactDivision):
+        UniPoly((Fraction(1, 2), 0, 3)).exact_div(UniPoly((0, 2)))
+    with pytest.raises(InexactDivision):
+        UniPoly((1,)).exact_div(UniPoly((1, 1)))
