@@ -16,24 +16,15 @@ from .diagonal import DiagonalAction, is_prime_power
 from .errors import InvariantTheoryError
 from .fields import Field, QQ, prime_field
 from .finite import FiniteGroupAction, molien_series, permutation_matrix
-from .poly import format_polynomial, fresh_names, polynomial_ring
+from .poly import format_polynomial, polynomial_ring
 from .ratfunc import RationalFunction, UniPoly
 from .reductive import LinearlyReductiveAction, hilbert_ideal
 from .rings import (
-    RingOfInvariants,
+    _relation_names,
     defining_ideal,
     hilbert_series_rewrite,
     invariant_ring,
     verify_generators,
-)
-
-SUBCOMMANDS = (
-    "invariants",
-    "molien",
-    "hilbert-ideal",
-    "defining-ideal",
-    "hilbert-series",
-    "verify",
 )
 
 
@@ -53,15 +44,8 @@ def _build_parser() -> _Parser:
         "by a JSON action file.",
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-    for name, text in (
-        ("invariants", "minimal generators of the invariant ring"),
-        ("molien", "Molien series of a finite action over Q"),
-        ("hilbert-ideal", "generators of the Hilbert ideal"),
-        ("defining-ideal", "relations among the invariant generators"),
-        ("hilbert-series", "Molien numerator against supplied degrees"),
-        ("verify", "per-degree dimension check of the generators"),
-    ):
-        cmd = sub.add_parser(name, help=text)
+    for name, driver in _DRIVERS.items():
+        cmd = sub.add_parser(name, help=driver.__doc__)
         cmd.add_argument("input", help="action description JSON file")
         cmd.add_argument(
             "--output", choices=("json", "text"), default="text",
@@ -77,11 +61,17 @@ def _build_parser() -> _Parser:
                 help="literal invariance over F_q for diagonal actions "
                 "(q from the literalQ field)",
             )
-            cmd.add_argument(
-                "--max-degree", type=int, default=None,
-                help="degree cap (finite actions; verify report depth, "
-                "default 6)",
-            )
+            if name == "verify":
+                cmd.add_argument(
+                    "--max-degree", dest="depth", metavar="MAX_DEGREE",
+                    type=int, default=6,
+                    help="report depth (default 6)",
+                )
+            else:
+                cmd.add_argument(
+                    "--max-degree", type=int, default=None,
+                    help="degree cap (finite actions)",
+                )
         if name == "hilbert-series":
             cmd.add_argument(
                 "--degrees", required=True,
@@ -298,135 +288,97 @@ def _series_strings(series: RationalFunction) -> dict:
     }
 
 
-def _emit(payload: dict, text_lines: list[str], mode: str, elapsed: float) -> None:
-    if mode == "json":
-        payload["elapsed_seconds"] = round(elapsed, 6)
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-        print(f"elapsed: {elapsed:.3f}s")
-
-
-def _generator_payload(inv: RingOfInvariants) -> tuple[dict, list[str]]:
-    strings = [format_polynomial(f) for f in inv.generators]
-    degrees = [f.degree() for f in inv.generators]
-    payload = {
-        "method": inv.method,
+def _generator_list(polys) -> dict:
+    """The JSON fields of a list of generators, in their printed order."""
+    strings = [format_polynomial(f) for f in polys]
+    return {
         "count": len(strings),
-        "degrees": degrees,
+        "degrees": [f.degree() for f in polys],
         "generators": strings,
     }
-    lines = [f"generators ({len(strings)}), method {inv.method}:"]
-    lines += [f"  {s}" for s in strings]
-    lines.append("degrees: " + " ".join(str(d) for d in degrees))
-    return payload, lines
+
+
+def _indented(strings) -> list[str]:
+    return [f"  {s}" for s in strings]
 
 
 # ---------------------------------------------------------------------------
-# subcommand drivers
+# subcommand drivers: each returns (JSON payload, text lines, exit code); the
+# payload holds only the driver's own keys, run_command adds the shared ones
 # ---------------------------------------------------------------------------
 
 
-def _algorithm_name(args, kind: str) -> str:
-    if getattr(args, "algorithm", None) is None:
-        return "king"
-    if kind != "finite":
-        raise _UsageError("--algorithm applies only to finite actions")
-    return args.algorithm
+def _ring_options(args, kind: str, literal_q) -> dict:
+    """invariant_ring keywords for the flags that were set; a flag the action
+    kind does not take is a usage error."""
+    options = {}
+    if args.algorithm is not None:
+        if kind != "finite":
+            raise _UsageError("--algorithm applies only to finite actions")
+        options["algorithm"] = args.algorithm
+    if args.literal:
+        if kind != "diagonal":
+            raise _UsageError("--literal applies only to diagonal actions")
+        if literal_q is None:
+            raise _UsageError("action.literalQ: required when --literal is given")
+        options["literal_q"] = literal_q
+    # verify's --max-degree is its report depth, kept apart as args.depth
+    if getattr(args, "max_degree", None) is not None:
+        if kind != "finite":
+            raise _UsageError("--max-degree applies only to finite actions")
+        options["max_degree"] = args.max_degree
+    return options
 
 
-def _resolve_literal(args, kind: str, literal_q):
-    if not getattr(args, "literal", False):
-        return None
-    if kind != "diagonal":
-        raise _UsageError("--literal applies only to diagonal actions")
-    if literal_q is None:
-        raise _UsageError("action.literalQ: required when --literal is given")
-    return literal_q
+def _cmd_invariants(args, action, kind, literal_q):
+    """minimal generators of the invariant ring"""
+    inv = invariant_ring(action, **_ring_options(args, kind, literal_q))
+    listing = _generator_list(inv.generators)
+    lines = [
+        f"generators ({listing['count']}), method {inv.method}:",
+        *_indented(listing["generators"]),
+        "degrees: " + " ".join(str(d) for d in listing["degrees"]),
+    ]
+    return {"method": inv.method, **listing}, lines, 0
 
 
-def _ring_options(args, kind: str, literal_q,
-                  use_max_degree: bool = True) -> dict:
-    """invariant_ring keywords from the flags; rejects flags the kind lacks."""
-    algorithm = _algorithm_name(args, kind)
-    q = _resolve_literal(args, kind, literal_q)
-    max_degree = getattr(args, "max_degree", None) if use_max_degree else None
-    if max_degree is not None and kind != "finite":
-        raise _UsageError("--max-degree applies only to finite actions")
-    return {"algorithm": algorithm, "max_degree": max_degree, "literal_q": q}
-
-
-def _compute_ring(args, action, kind: str, literal_q,
-                  use_max_degree: bool = True) -> RingOfInvariants:
-    return invariant_ring(
-        action, **_ring_options(args, kind, literal_q, use_max_degree)
-    )
-
-
-def _cmd_invariants(args, action, kind, literal_q, elapsed_from):
-    inv = _compute_ring(args, action, kind, literal_q)
-    payload, lines = _generator_payload(inv)
-    payload = {"command": "invariants", "kind": kind, **payload}
-    _emit(payload, lines, args.output, time.perf_counter() - elapsed_from)
-    return 0
-
-
-def _cmd_molien(args, action, kind, literal_q, elapsed_from):
+def _cmd_molien(args, action, kind, literal_q):
+    """Molien series of a finite action over Q"""
     if kind != "finite":
         raise _UsageError("molien requires a finite action")
-    series = molien_series(action)
-    body = _series_strings(series)
-    payload = {"command": "molien", "kind": kind, **body}
-    lines = [body["series"]]
-    _emit(payload, lines, args.output, time.perf_counter() - elapsed_from)
-    return 0
+    payload = _series_strings(molien_series(action))
+    return payload, [payload["series"]], 0
 
 
-def _cmd_hilbert_ideal(args, action, kind, literal_q, elapsed_from):
-    options = _ring_options(args, kind, literal_q)
-    if kind == "reductive":
-        gens = hilbert_ideal(action)
-        strings = [format_polynomial(f) for f in gens]
-        payload = {
-            "command": "hilbert-ideal",
-            "kind": kind,
-            "count": len(strings),
-            "degrees": [f.degree() for f in gens],
-            "generators": strings,
-        }
-        lines = [f"hilbert ideal ({len(strings)} generators):"]
-        lines += [f"  {s}" for s in strings]
-    else:
+def _cmd_hilbert_ideal(args, action, kind, literal_q):
+    """generators of the Hilbert ideal"""
+    if kind != "reductive":
         # for finite and diagonal actions the minimal invariant generators
         # also generate the Hilbert ideal
-        inv = invariant_ring(action, **options)
-        payload, lines = _generator_payload(inv)
-        payload = {"command": "hilbert-ideal", "kind": kind, **payload}
-    _emit(payload, lines, args.output, time.perf_counter() - elapsed_from)
-    return 0
+        return _cmd_invariants(args, action, kind, literal_q)
+    _ring_options(args, kind, literal_q)  # rejects every flag
+    listing = _generator_list(hilbert_ideal(action))
+    lines = [f"hilbert ideal ({listing['count']} generators):",
+             *_indented(listing["generators"])]
+    return listing, lines, 0
 
 
-def _cmd_defining_ideal(args, action, kind, literal_q, elapsed_from):
-    inv = _compute_ring(args, action, kind, literal_q)
-    relations = defining_ideal(inv)
-    strings = [format_polynomial(f) for f in relations]
+def _cmd_defining_ideal(args, action, kind, literal_q):
+    """relations among the invariant generators"""
+    inv = invariant_ring(action, **_ring_options(args, kind, literal_q))
+    relations = [format_polynomial(f) for f in defining_ideal(inv)]
     payload = {
-        "command": "defining-ideal",
-        "kind": kind,
-        "generators": [format_polynomial(f) for f in inv.generators],
-        # one per generator, as defining_ideal names them
-        "relation_variables": list(fresh_names(len(inv.generators), inv.ring.names)),
-        "count": len(strings),
-        "relations": strings,
+        "generators": _generator_list(inv.generators)["generators"],
+        "relation_variables": list(_relation_names(inv)),
+        "count": len(relations),
+        "relations": relations,
     }
-    lines = [f"relations ({len(strings)}):"]
-    lines += [f"  {s}" for s in strings] if strings else ["  (none)"]
-    _emit(payload, lines, args.output, time.perf_counter() - elapsed_from)
-    return 0
+    lines = [f"relations ({len(relations)}):", *(_indented(relations) or ["  (none)"])]
+    return payload, lines, 0
 
 
-def _cmd_hilbert_series(args, action, kind, literal_q, elapsed_from):
+def _cmd_hilbert_series(args, action, kind, literal_q):
+    """Molien numerator against supplied degrees"""
     if kind != "finite":
         raise _UsageError("hilbert-series requires a finite action")
     try:
@@ -435,38 +387,22 @@ def _cmd_hilbert_series(args, action, kind, literal_q, elapsed_from):
         raise _UsageError("--degrees: expected comma-separated integers")
     if not degrees or any(d < 1 for d in degrees):
         raise _UsageError("--degrees: expected positive integers")
-    inv = invariant_ring(action, algorithm="king")
-    numerator = hilbert_series_rewrite(inv, degrees)
-    payload = {
-        "command": "hilbert-series",
-        "kind": kind,
-        "degrees": degrees,
-        "numerator": str(numerator),
-    }
-    lines = [str(numerator)]
-    _emit(payload, lines, args.output, time.perf_counter() - elapsed_from)
-    return 0
+    numerator = str(hilbert_series_rewrite(action, degrees))
+    return {"degrees": degrees, "numerator": numerator}, [numerator], 0
 
 
-def _cmd_verify(args, action, kind, literal_q, elapsed_from):
-    inv = _compute_ring(args, action, kind, literal_q, use_max_degree=False)
-    depth = args.max_degree if args.max_degree is not None else 6
-    report = verify_generators(inv, depth)
-    records = [
-        {
-            "degree": r.degree,
-            "expected": r.expected,
-            "actual": r.actual,
-            "pass": r.passed,
-        }
-        for r in report
-    ]
+def _cmd_verify(args, action, kind, literal_q):
+    """per-degree dimension check of the generators"""
+    inv = invariant_ring(action, **_ring_options(args, kind, literal_q))
+    report = verify_generators(inv, args.depth)
     all_passed = all(r.passed for r in report)
     payload = {
-        "command": "verify",
-        "kind": kind,
-        "max_degree": depth,
-        "report": records,
+        "max_degree": args.depth,
+        "report": [
+            {"degree": r.degree, "expected": r.expected,
+             "actual": r.actual, "pass": r.passed}
+            for r in report
+        ],
         "all_passed": all_passed,
     }
     lines = [
@@ -475,8 +411,7 @@ def _cmd_verify(args, action, kind, literal_q, elapsed_from):
         for r in report
     ]
     lines.append("all passed" if all_passed else "FAILED")
-    _emit(payload, lines, args.output, time.perf_counter() - elapsed_from)
-    return 0 if all_passed else 2
+    return payload, lines, 0 if all_passed else 2
 
 
 _DRIVERS = {
@@ -490,27 +425,30 @@ _DRIVERS = {
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required "
-                              f"(one of: {', '.join(SUBCOMMANDS)})")
-        if getattr(args, "max_degree", None) is not None and args.max_degree < 1:
+                              f"(one of: {', '.join(_DRIVERS)})")
+        bound = getattr(args, "max_degree", getattr(args, "depth", None))
+        if bound is not None and bound < 1:
             raise _UsageError("--max-degree: expected a positive integer")
         started = time.perf_counter()
         action, kind, literal_q = _read_input(args.input)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _DRIVERS[args.command](args, action, kind, literal_q, started)
+        payload, lines, code = _DRIVERS[args.command](args, action, kind, literal_q)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantTheoryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    elapsed = time.perf_counter() - started
+    if args.output == "json":
+        print(json.dumps({"command": args.command, "kind": kind, **payload,
+                          "elapsed_seconds": round(elapsed, 6)}, indent=2))
+    else:
+        print("\n".join(lines + [f"elapsed: {elapsed:.3f}s"]))
+    return code
 
 
 def main() -> int:

@@ -105,9 +105,21 @@ def invariant_ring(
 ) -> RingOfInvariants:
     """Compute invariant generators for any supported action kind.
 
-    `algorithm` selects the finite-group method (king or linear_algebra);
-    `literal_q` switches diagonal actions to literal invariance over F_q.
+    `algorithm` selects the finite-group method (king or linear_algebra) and
+    `max_degree` caps its sweep; `literal_q` switches diagonal actions to
+    literal invariance over F_q.  An option the action kind does not take
+    raises ``ValueError``.
     """
+    if not isinstance(action, (FiniteGroupAction, DiagonalAction,
+                               LinearlyReductiveAction)):
+        raise TypeError(f"unsupported action type {type(action).__name__}")
+    if not isinstance(action, FiniteGroupAction):
+        if max_degree is not None:
+            raise ValueError("max_degree applies only to finite group actions")
+        if algorithm != KING:
+            raise ValueError(f"algorithm {algorithm!r} applies only to finite group actions")
+    if literal_q is not None and not isinstance(action, DiagonalAction):
+        raise ValueError("literal_q applies only to diagonal actions")
     if isinstance(action, FiniteGroupAction):
         if algorithm == KING:
             gens, complete = _king_sweep(action, max_degree)
@@ -125,9 +137,7 @@ def invariant_ring(
         monos = diagonal_invariants(action)
         gens = [action.ring.monomial(m) for m in monos]
         return RingOfInvariants(action, gens, DIAGONAL)
-    if isinstance(action, LinearlyReductiveAction):
-        return RingOfInvariants(action, reductive_invariants(action), REDUCTIVE)
-    raise TypeError(f"unsupported action type {type(action).__name__}")
+    return RingOfInvariants(action, reductive_invariants(action), REDUCTIVE)
 
 
 def defining_ideal(inv: RingOfInvariants) -> list[Polynomial]:
@@ -138,15 +148,18 @@ def defining_ideal(inv: RingOfInvariants) -> list[Polynomial]:
     return list(inv._defining)
 
 
+def _relation_names(inv: RingOfInvariants) -> tuple[str, ...]:
+    """The variable names u1, u2, ... of the presentation ring, one per
+    generator, that avoid the names of the ring the generators live in."""
+    return fresh_names(len(inv.generators), set(inv.ring.names))
+
+
 def _defining_ideal(inv: RingOfInvariants) -> list[Polynomial]:
     gens = inv.generators
     ring = inv.ring
     if not gens:
         return []
-    unames = fresh_names(len(gens), set(ring.names))
-    combined = polynomial_ring(
-        ring.field, tuple(ring.names) + unames
-    )
+    combined = polynomial_ring(ring.field, tuple(ring.names) + _relation_names(inv))
     pad = len(gens)
     relations = []
     for i, f in enumerate(gens):
@@ -158,14 +171,17 @@ def _defining_ideal(inv: RingOfInvariants) -> list[Polynomial]:
     return elimination_ideal(relations, eliminate=ring.names, weights=weights)
 
 
-def hilbert_series_rewrite(inv: RingOfInvariants, degrees) -> UniPoly:
+def hilbert_series_rewrite(source, degrees) -> UniPoly:
     """Numerator of the Molien series against the product of (1 - T^d) for
-    the supplied degrees; the division must be exact."""
-    if not isinstance(inv.action, FiniteGroupAction):
+    the supplied degrees; the division must be exact.  ``source`` is a
+    ``FiniteGroupAction`` or a ``RingOfInvariants`` of one: only the action
+    is read, so no generators need to be computed first."""
+    action = source.action if isinstance(source, RingOfInvariants) else source
+    if not isinstance(action, FiniteGroupAction):
         raise TypeError("hilbert series rewriting requires a finite group action")
-    if not inv.ring.field.is_rationals:
+    if not action.ring.field.is_rationals:
         raise NonZeroCharacteristic("Molien series needs characteristic zero")
-    series = molien_series(inv.action)
+    series = molien_series(action)
     numerator = series.num
     for d in degrees:
         if isinstance(d, bool) or int(d) != d:

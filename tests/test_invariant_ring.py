@@ -197,3 +197,32 @@ def test_z2_sign_action_presentation_is_fifty_quadrics():
     for r in relations:
         assert r.is_homogeneous() and r.degree() == 2
         assert substitute(r, list(inv.generators)).is_zero()
+
+
+@pytest.mark.parametrize("action, options, option", [
+    (TORUS, {"max_degree": 1}, "max_degree"),
+    (TORUS, {"max_degree": 0}, "max_degree"),
+    (SL2, {"max_degree": 4}, "max_degree"),
+    (TORUS, {"algorithm": "bogus"}, "algorithm"),
+    (SL2, {"algorithm": "linear_algebra"}, "algorithm"),
+    (A4, {"literal_q": 9}, "literal_q"),
+    (SL2, {"literal_q": 9}, "literal_q"),
+])
+def test_dispatch_rejects_options_the_action_kind_does_not_take(action, options, option):
+    with pytest.raises(ValueError, match=option):
+        invariant_ring(action, **options)
+
+
+def test_dispatch_accepts_the_default_algorithm_on_every_kind():
+    assert invariant_ring(TORUS, algorithm="king").method == "diagonal"
+    assert invariant_ring(SL2, algorithm="king").method == "reductive"
+
+
+def test_hilbert_series_rewrite_takes_the_action_itself():
+    expected = UniPoly((1, 0, 0, 0, 0, 0, 1))  # 1 + T^6
+    assert hilbert_series_rewrite(A4, [1, 2, 3, 4]) == expected
+    assert hilbert_series_rewrite(invariant_ring(A4), [1, 2, 3, 4]) == expected
+    with pytest.raises(TypeError):
+        hilbert_series_rewrite(TORUS, [1])
+    with pytest.raises(TypeError):
+        hilbert_series_rewrite(SL2, [1])
