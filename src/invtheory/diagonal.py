@@ -29,19 +29,8 @@ import math
 import operator
 
 from .errors import DimensionMismatch, RingMismatch, RootOfUnityUnavailable
-from .fields import _is_prime
+from .fields import _integers, _is_prime
 from .poly import Monomial, Polynomial, PolynomialRing, Staircase, _packing
-
-
-def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
-    """``values`` as ints; a ValueError if one is not integral or below ``least``."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or int(v) != v:
-            raise ValueError(f"{what} must be integral, got {v!r}")
-        if least is not None and v < least:
-            raise ValueError(f"{what} must be at least {least}")
-    return tuple(map(int, values))
 
 
 class DiagonalAction:

@@ -7,6 +7,7 @@ scalars as plain values makes polynomials hashable and cheap to copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,25 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _integers(values, what: str, least: int | None = None) -> tuple[int, ...]:
+    """``values`` as ints; a ValueError if one is a bool, is not integral or
+    is below ``least``."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or int(v) != v:
+            raise ValueError(f"{what} must be integral, got {v!r}")
+        if least is not None and v < least:
+            raise ValueError(f"{what} must be at least {least}")
+    return tuple(map(int, values))
+
+
+def integral(scalars) -> tuple[list[int], int]:
+    """The scalars (a collection) times the lcm of their denominators, as
+    ints, and that lcm; an F_p scalar is its own numerator over 1."""
+    den = math.lcm(*(c.denominator for c in scalars))
+    return [c.numerator * (den // c.denominator) for c in scalars], den
 
 
 @dataclass(frozen=True)

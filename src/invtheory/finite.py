@@ -24,10 +24,11 @@ from .errors import (
     ModularCaseUnsupported,
     NonZeroCharacteristic,
     NotAPermutation,
-    RingMismatch,
 )
+from .fields import _integers
 from .groebner import degree_sweep
-from .poly import Polynomial, PolynomialRing, _accumulate, _from_dict, substitute
+from .poly import (Polynomial, PolynomialRing, _accumulate, _from_dict, _ring_mismatch,
+                   substitute)
 from .ratfunc import RationalFunction, UniPoly, rational_function_sum
 
 DEFAULT_CLOSURE_CAP = 50000
@@ -104,9 +105,6 @@ class FiniteGroupAction:
         # Built on first use, like the closure.
         self._generator_subs: tuple[_Substitution, ...] | None = None
         self._closure_subs: tuple[_Substitution, ...] | None = None
-        # The last orbit walked, so King's sweep and the Reynolds image of
-        # its candidate share one walk.
-        self._last_orbit: tuple[tuple[int, ...], _Orbit] | None = None
 
     # -- the group ------------------------------------------------------------
 
@@ -174,10 +172,7 @@ class FiniteGroupAction:
         closure."""
         if not self._is_monomial():
             return None
-        if self._last_orbit is None or self._last_orbit[0] != exponents:
-            orbit = _Orbit(self._generator_substitutions(), exponents, self.ring.field)
-            self._last_orbit = (exponents, orbit)
-        return self._last_orbit[1]
+        return _Orbit(self._generator_substitutions(), exponents, self.ring.field)
 
     def __repr__(self) -> str:
         return (
@@ -287,6 +282,15 @@ def act_on(g, f: Polynomial) -> Polynomial:
     return _Substitution(f.ring, g).apply(f)
 
 
+def _check_nonmodular(action: FiniteGroupAction) -> None:
+    """Raise ModularCaseUnsupported if the characteristic divides |G| (no Reynolds
+    operator); the closure comes first, so one over its cap raises ClosureCapExceeded."""
+    order = action.order()
+    p = action.ring.field.characteristic()
+    if p and order % p == 0:
+        raise ModularCaseUnsupported(f"|G| = {order} is divisible by the characteristic {p}")
+
+
 def reynolds(action: FiniteGroupAction, f: Polynomial) -> Polynomial:
     """Group average (1/|G|) sum_g f(g.x); the projection onto invariants.
 
@@ -294,16 +298,11 @@ def reynolds(action: FiniteGroupAction, f: Polynomial) -> Polynomial:
     a / (c(m) |orbit|) sum c(m') m' over its orbit, or zero when the orbit
     carries no invariant (see `_Orbit`).
     """
-    closure = action.group_closure()
+    _check_nonmodular(action)
     ring = action.ring
     field = ring.field
-    p = field.characteristic()
-    if p and len(closure) % p == 0:
-        raise ModularCaseUnsupported(
-            f"|G| = {len(closure)} is divisible by the characteristic {p}"
-        )
     if f.ring != ring:
-        raise RingMismatch(f"{f.ring} vs {ring}")
+        raise _ring_mismatch(f.ring, ring)
     if not action._is_monomial():
         return _dense_reynolds(action, f)
     acc: dict[tuple[int, ...], object] = {}
@@ -328,6 +327,19 @@ def _dense_reynolds(action: FiniteGroupAction, f: Polynomial) -> Polynomial:
     for sub in action._closure_substitutions():
         _accumulate(acc, sub.apply(f).terms, field)
     return _from_dict(action.ring, acc) * field.from_pair(1, action.order())
+
+
+def _orbit_sums(action: FiniteGroupAction, monomials):
+    """The orbit sums sum c(m') m' (`_Orbit`) of a monomial group, one for
+    each invariant orbit that the exponent tuples ``monomials`` meet, each
+    walked from the first of its members met (coefficient 1)."""
+    seen: set[tuple[int, ...]] = set()
+    for m in monomials:
+        if m not in seen:
+            orbit = action._monomial_orbit(m)
+            seen.update(orbit.coefficients)
+            if orbit.invariant:
+                yield _from_dict(action.ring, orbit.coefficients)
 
 
 def molien_series(action: FiniteGroupAction) -> RationalFunction:
@@ -377,19 +389,9 @@ def invariant_space_basis(action: FiniteGroupAction, degree: int) -> list[Polyno
     lead monomial (coefficient 1) in monomial-basis order: their supports
     are disjoint, which makes them the reduced echelon form already.
     """
-    ring = action.ring
     if not action._is_monomial():
         return _dense_invariant_space_basis(action, degree)
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for m in ring.monomial_basis(degree):
-        if m.exponents in seen:
-            continue
-        orbit = action._monomial_orbit(m.exponents)
-        seen.update(orbit.coefficients)
-        if orbit.invariant:
-            out.append(_from_dict(ring, orbit.coefficients))
-    return out
+    return list(_orbit_sums(action, (m.exponents for m in action.ring.monomial_basis(degree))))
 
 
 def _dense_invariant_space_basis(action: FiniteGroupAction, degree: int) -> list[Polynomial]:
@@ -414,11 +416,10 @@ def _dense_invariant_space_basis(action: FiniteGroupAction, degree: int) -> list
 
 
 def _degree_bound(action: FiniteGroupAction, max_degree: int | None) -> int:
-    if max_degree is not None:
-        if max_degree < 1:
-            raise ValueError("max_degree must be at least 1")
-        return max_degree
-    return action.order()
+    """The sweep's top degree: max_degree, an integer >= 1, or else |G|."""
+    if max_degree is None:
+        return action.order()
+    return _integers((max_degree,), "max_degree", least=1)[0]
 
 
 def _standard_monomials(engine, below, key) -> list[tuple[int, ...]]:
@@ -525,17 +526,12 @@ def _proven(p: int, group_order, bound: int, stopped: bool) -> bool:
     return order is not None and not (p and order % p == 0) and (stopped or bound >= order)
 
 
-def _reynolds_images(action: FiniteGroupAction, monomials):
-    """Reynolds images of the monomials (exponent tuples), one per orbit for
-    a monomial group (the images of an orbit's members are proportional)."""
-    tried: set[tuple[int, ...]] = set()
-    for m in monomials:
-        if m in tried:
-            continue
-        orbit = action._monomial_orbit(m)
-        if orbit is not None:
-            tried.update(orbit.coefficients)
-        yield reynolds(action, action.ring.monomial(m))
+def _king_candidates(action: FiniteGroupAction, monomials):
+    """Reynolds images of the monomials (exponent tuples), up to the scalars the
+    sweep drops: for a monomial group, the orbit sums (King 2013, section 5)."""
+    if action._is_monomial():
+        return _orbit_sums(action, monomials)
+    return (_dense_reynolds(action, action.ring.monomial(m)) for m in monomials)
 
 
 def invariants_king(
@@ -557,8 +553,9 @@ def invariants_king(
 def _king_sweep(action: FiniteGroupAction,
                 max_degree: int | None) -> tuple[list[Polynomial], bool]:
     """`invariants_king` and whether its generators are complete."""
-    return _sweep(action, _degree_bound(action, max_degree),
-                  lambda engine, d, standard: _reynolds_images(action, standard()))
+    bound = _degree_bound(action, max_degree)
+    _check_nonmodular(action)
+    return _sweep(action, bound, lambda engine, d, standard: _king_candidates(action, standard()))
 
 
 def invariants_linear_algebra(
@@ -579,15 +576,12 @@ def invariants_linear_algebra(
 def _linear_sweep(action: FiniteGroupAction,
                   max_degree: int | None) -> tuple[list[Polynomial], bool]:
     """`invariants_linear_algebra` and whether its generators are complete."""
-    if max_degree is None:
-        try:
-            bound = action.order()
-        except ClosureCapExceeded as exc:
-            raise MissingDegreeBound(
-                "no max_degree given and the group closure is unavailable"
-            ) from exc
-    else:
+    try:
         bound = _degree_bound(action, max_degree)
+    except ClosureCapExceeded as exc:
+        raise MissingDegreeBound(
+            "no max_degree given and the group closure is unavailable"
+        ) from exc
     return _sweep(
         action, bound, lambda engine, d, standard: invariant_space_basis(action, d)
     )

@@ -59,8 +59,10 @@ import operator
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import InhomogeneousTruncation, OrderMismatch, RingMismatch
-from .poly import Polynomial, PolynomialRing, Staircase, _from_dict, support_mask
+from .errors import InhomogeneousTruncation, OrderMismatch
+from .fields import integral
+from .poly import (Polynomial, PolynomialRing, Staircase, _from_dict, _ring_mismatch,
+                   support_mask)
 from .orders import TermOrder
 
 
@@ -99,7 +101,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 f"polynomial order {f.ring.order} vs basis order {basis.ring.order}"
             )
         if f.ring != basis.ring:
-            raise RingMismatch(f"{f.ring} vs {basis.ring}")
+            raise _ring_mismatch(f.ring, basis.ring)
         if (
             basis.truncation_degree is not None
             and f.degree() > basis.truncation_degree
@@ -113,7 +115,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         divisors = [g for g in basis if not g.is_zero()]
         for g in divisors:
             if g.ring != f.ring:
-                raise RingMismatch(f"{f.ring} vs {g.ring}")
+                raise _ring_mismatch(f.ring, g.ring)
     return reducer(f.ring, divisors)(f)
 
 
@@ -126,7 +128,7 @@ def reducer(ring: PolynomialRing, divisors):
 
     def remainder(f: Polynomial) -> Polynomial:
         work, denominator = engine._integral(f)
-        reduced = engine.reduce(engine._pack_terms(work))
+        reduced = engine.reduce(work)
         up, down = engine.last_scale
         scalar, unpack = ring.field.from_pair, engine._unpack
         return _from_dict(
@@ -246,16 +248,14 @@ class _IncrementalGroebner:
     # -- conversions ----------------------------------------------------------
 
     def _integral(self, f: Polynomial) -> tuple[dict, int]:
-        """f's terms with integer coefficients: f times the lcm of its
-        denominators, which is returned too.  F_p scalars are ints in
-        [0, p), so their denominator is 1."""
-        denominator = math.lcm(*(c.denominator for _, c in f.terms))
-        work = {e: c.numerator * (denominator // c.denominator) for e, c in f.terms}
-        return work, denominator
+        """f's terms cleared by `integral`, packed, and the lcm of the
+        denominators."""
+        ints, denominator = integral([c for _, c in f.terms])
+        return self._pack_terms(dict(zip([e for e, _ in f.terms], ints))), denominator
 
     def _to_internal(self, f: Polynomial) -> dict:
         """f's normalized integer terms, packed: the input of `reduce`."""
-        work = self._pack_terms(self._integral(f)[0])
+        work = self._integral(f)[0]
         return self._normalize(work, work[max(work)]) if work else work
 
     def _normalize(self, work: dict, lead_coeff: int) -> dict:
@@ -410,7 +410,7 @@ class _IncrementalGroebner:
     def add_generator(self, f: Polynomial) -> bool:
         """Add f's normal form to the basis; whether the basis grew."""
         if f.ring != self.ring:
-            raise RingMismatch(f"{f.ring} vs {self.ring}")
+            raise _ring_mismatch(f.ring, self.ring)
         if f.is_zero():
             return False
         reduced = self.reduce(self._to_internal(f))
@@ -553,7 +553,7 @@ def buchberger(
         raise ValueError("a truncation degree needs unweighted sugar")
     for f in polys[1:]:
         if f.ring != ring:
-            raise RingMismatch(f"{f.ring} vs {ring}")
+            raise _ring_mismatch(f.ring, ring)
     if order is not None and order != ring.order:
         ring = ring.with_order(order)
         polys = [f.convert(ring) for f in polys]

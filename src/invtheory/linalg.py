@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 
-from .fields import Field
+from .fields import Field, integral
 
 
 class Echelon:
@@ -38,8 +38,7 @@ class Echelon:
         returns whether the rank grew."""
         if len(self.pivots) == len(row):
             return False
-        den = math.lcm(*(v.denominator for v in row))  # 1 over F_p
-        work = [v.numerator * (den // v.denominator) for v in row]
+        work = integral(row)[0]
         for col in self.pivots:
             if work[col]:
                 work = self._eliminate(work, col, self.rows[col])

@@ -7,7 +7,6 @@ order) are interchangeable.  Everything is immutable and hashable.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import RingMismatch
-from .fields import Field, QQ
+from .fields import Field, QQ, integral
 from .orders import TermOrder
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -222,10 +221,10 @@ def _packing(n: int, top: int):
 
 
 def _packed_integral(terms, pack) -> tuple[list[tuple[int, int]], int]:
-    """(packed exponents, integer coefficient) over the lcm of the
-    denominators, and that lcm; an F_p scalar is its own numerator over 1."""
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return [(pack(exp), c.numerator * (den // c.denominator)) for exp, c in terms], den
+    """(packed exponent, integer coefficient) pairs cleared by `integral`,
+    and the lcm of the denominators."""
+    ints, den = integral([c for _, c in terms])
+    return list(zip([pack(exp) for exp, _ in terms], ints)), den
 
 
 def _packed_product(a, b) -> dict[int, int]:
@@ -240,6 +239,14 @@ def _packed_product(a, b) -> dict[int, int]:
             h = ha + hb
             acc[h] = get(h, 0) + ca * cb
     return acc
+
+
+def _ring_mismatch(a: PolynomialRing, b: PolynomialRing) -> RingMismatch:
+    """The error for two rings that differ, naming their term orders when
+    only those do."""
+    if str(a) == str(b):
+        return RingMismatch(f"{a} ({a.order}) vs {b} ({b.order})")
+    return RingMismatch(f"{a} vs {b}")
 
 
 def _accumulate(acc: dict, terms, field, scale=None) -> None:
@@ -335,7 +342,7 @@ class Polynomial:
 
     def _check(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
+            raise _ring_mismatch(self.ring, other.ring)
 
     def _coerce_operand(self, other):
         if isinstance(other, Polynomial):
@@ -352,13 +359,8 @@ class Polynomial:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.ring.field
         acc = dict(self.terms)
-        for exp, coeff in other.terms:
-            if exp in acc:
-                acc[exp] = field.add(acc[exp], coeff)
-            else:
-                acc[exp] = coeff
+        _accumulate(acc, other.terms, self.ring.field)
         return _from_dict(self.ring, acc)
 
     __radd__ = __add__
@@ -377,15 +379,9 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            if isinstance(other, Monomial):
-                other = self.ring.monomial(other)
-            else:
-                try:
-                    other = self.ring.constant(other)
-                except TypeError:
-                    return NotImplemented
-        self._check(other)
+        other = self._coerce_operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         ring = self.ring
         short, long = sorted((self.terms, other.terms), key=len)
         if len(short) < 2:  # a term times a polynomial keeps its order

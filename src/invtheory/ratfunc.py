@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 from .errors import InexactDivision, ZeroDenominator
+from .fields import integral
 
 
 class UniPoly:
@@ -107,8 +108,8 @@ class UniPoly:
         other = _as_unipoly(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        a, den_a = _integral(self.coeffs)
-        b, den_b = _integral(other.coeffs)
+        a, den_a = integral(self.coeffs)
+        b, den_b = integral(other.coeffs)
         g = _content(b)
         scale, quo, rem = _pseudo_divmod(a, [c // g for c in b])
         return (UniPoly(Fraction(q * den_b, scale * den_a * g) for q in quo),
@@ -129,7 +130,7 @@ class UniPoly:
             a, b = b, a
         if not a:
             return UniPoly.zero()
-        a, b = _primitive(_integral(a)[0]), _primitive(_integral(b)[0])
+        a, b = _primitive(integral(a)[0]), _primitive(integral(b)[0])
         while b:
             a, b = b, _primitive(_pseudo_divmod(a, b)[2])
         return UniPoly(Fraction(c, a[-1]) for c in a)
@@ -182,12 +183,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
-
-
-def _integral(coeffs) -> tuple[list[int], int]:
-    """The coefficients times the lcm of their denominators, and that lcm."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _content(coeffs: list[int]) -> int:

@@ -25,6 +25,7 @@ from .errors import (
     NonZeroCharacteristic,
     RingMismatch,
 )
+from .fields import integral
 from .groebner import degree_sweep, elimination_ideal, reducer
 from .linalg import nullspace, rref
 from .poly import Polynomial, PolynomialRing, fresh_names, polynomial_ring
@@ -180,11 +181,10 @@ def reductive_invariant_basis(action: LinearlyReductiveAction, degree: int) -> l
     # on it), made primitive with a positive first entry and without repeats.
     rows: dict = {}
     for entry in entries.values():
-        den = math.lcm(*(v.denominator for v in entry.values()))
-        ints = {col: v.numerator * (den // v.denominator) for col, v in entry.items()}
-        content = math.gcd(*ints.values()) * (1 if next(iter(ints.values())) > 0 else -1)
+        ints = integral(entry.values())[0]
+        content = math.gcd(*ints) * (1 if ints[0] > 0 else -1)
         row = [0] * width
-        for col, v in ints.items():
+        for col, v in zip(entry, ints):
             row[col] = v // content
         rows[tuple(row)] = None
     return [tring.from_terms({monos[col].exponents: v for col, v in enumerate(vec) if v})

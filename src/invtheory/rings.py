@@ -13,6 +13,7 @@ from .diagonal import (
     is_invariant_exponent,
 )
 from .errors import NonZeroCharacteristic
+from .fields import _integers
 from .finite import (
     FiniteGroupAction,
     _king_sweep,
@@ -256,8 +257,7 @@ def _spanned_dimension(inv: RingOfInvariants, products) -> int:
 def verify_generators(inv: RingOfInvariants, max_degree: int) -> list[DegreeCheck]:
     """Per-degree comparison of the dimension spanned by generator products
     against an independently computed invariant-space dimension."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
+    (max_degree,) = _integers((max_degree,), "max_degree", least=1)
     report = []
     for degree, products in enumerate(_generator_products(inv, max_degree), 1):
         expected = _expected_dimension(inv, degree)

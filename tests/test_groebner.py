@@ -10,6 +10,7 @@ from invtheory import (
     InhomogeneousTruncation,
     OrderMismatch,
     QQ,
+    RingMismatch,
     TermOrder,
     buchberger,
     elimination_ideal,
@@ -533,3 +534,41 @@ def test_elimination_of_graph_ideals_matches_sympy(p):
                               params, field)
         expected = sympy_groebner(free, free[0].ring, "grevlex")
         assert strings(elimination_ideal(polys, params)) == strings(expected)
+
+
+def test_buchberger_in_another_order_converts_its_input():
+    grevlex = polynomial_ring(QQ, ("x", "y", "z"))
+    polys = [grevlex.parse("x^2-y*z"), grevlex.parse("x*y-z^2"), grevlex.parse("y^3-x*z")]
+    converted = buchberger(polys, order=TermOrder.lex())
+    assert converted.ring == LEX3
+    assert converted == buchberger([f.convert(LEX3) for f in polys])
+
+
+def test_normal_form_rejects_a_basis_it_cannot_use():
+    grevlex = polynomial_ring(QQ, ("x", "y"))
+    basis = buchberger([grevlex.parse("x^2-y^2"), grevlex.parse("x*y")], truncation_degree=3)
+    assert normal_form(grevlex.parse("x^2+x*y"), basis) == grevlex.parse("y^2")
+    with pytest.raises(ValueError, match="exceeds the basis truncation 3"):
+        normal_form(grevlex.parse("x^4"), basis)
+    other = polynomial_ring(QQ, ("u", "v"))
+    with pytest.raises(RingMismatch):
+        normal_form(other.parse("u^2"), basis)
+    with pytest.raises(RingMismatch):
+        normal_form(other.parse("u^2"), [grevlex.parse("x")])
+
+
+def test_elimination_ideal_of_nothing_and_of_unknown_names():
+    assert elimination_ideal([], eliminate=["x"]) == []
+    assert elimination_ideal([LEX3.zero()], eliminate=["x"]) == []
+    with pytest.raises(ValueError, match="not ring variables"):
+        elimination_ideal([LEX3.parse("x-y")], eliminate=["x", "w"])
+
+
+def test_ring_mismatch_in_order_only_names_the_orders():
+    grevlex = polynomial_ring(QQ, ("x", "y", "z"))
+    with pytest.raises(RingMismatch) as info:
+        buchberger([grevlex.parse("x-y"), LEX3.parse("y-z")])
+    assert str(info.value) == "QQ[x, y, z] (lex) vs QQ[x, y, z] (grevlex)"
+    with pytest.raises(RingMismatch) as info:
+        buchberger([grevlex.parse("x"), polynomial_ring(prime_field(5), ("x",)).parse("x")])
+    assert str(info.value) == "GF(5)[x] vs QQ[x, y, z]"

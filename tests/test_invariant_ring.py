@@ -15,6 +15,8 @@ from invtheory import (
     format_polynomial,
     hilbert_series_rewrite,
     invariant_ring,
+    invariants_king,
+    invariants_linear_algebra,
     permutation_matrix,
     polynomial_ring,
     substitute,
@@ -158,6 +160,29 @@ def test_verify_generators_detects_missing_generator():
     assert not by_degree[6].passed
     assert by_degree[6].expected == 10
     assert by_degree[6].actual == 9
+
+
+@pytest.mark.parametrize("bad, message", [
+    (2.5, "max_degree must be integral, got 2.5"),
+    ("3", "max_degree must be integral, got '3'"),
+    (True, "max_degree must be integral, got True"),
+    (0, "max_degree must be at least 1"),
+])
+def test_max_degree_is_an_integer_at_least_one(bad, message):
+    inv = invariant_ring(A4)
+    for call in (lambda: invariant_ring(A4, max_degree=bad),
+                 lambda: invariant_ring(A4, algorithm="linear_algebra", max_degree=bad),
+                 lambda: invariants_king(A4, max_degree=bad),
+                 lambda: invariants_linear_algebra(A4, max_degree=bad),
+                 lambda: verify_generators(inv, bad)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_integral_max_degree_of_another_type_is_taken_as_an_int():
+    assert invariants_king(A4, max_degree=3.0) == invariants_king(A4, max_degree=3)
+    assert [c.degree for c in verify_generators(invariant_ring(A4), 2.0)] == [1, 2]
 
 
 def test_verify_generators_trivial_and_diagonal_and_reductive():

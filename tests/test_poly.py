@@ -193,3 +193,9 @@ def test_fresh_names_avoid_collisions():
     assert not set(names) & {"x", "y"}
     clash = fresh_names(2, {"u1", "u2"})
     assert not set(clash) & {"u1", "u2"}
+
+
+def test_fresh_names_fall_back_to_numbered_blocks():
+    taken = {f"{prefix}1" for prefix in "uvwst"}
+    assert fresh_names(2, taken) == ("aux0_1", "aux0_2")
+    assert fresh_names(2, taken | {"aux0_2"}) == ("aux1_1", "aux1_2")

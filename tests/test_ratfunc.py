@@ -205,3 +205,27 @@ def test_division_matches_fraction_long_division_and_inexact_still_raises():
         UniPoly((Fraction(1, 2), 0, 3)).exact_div(UniPoly((0, 2)))
     with pytest.raises(InexactDivision):
         UniPoly((1,)).exact_div(UniPoly((1, 1)))
+
+
+def test_unipoly_powers_and_evaluation():
+    f = ONE + T
+    assert f ** 0 == ONE
+    assert f ** 3 == UniPoly((1, 3, 3, 1))
+    with pytest.raises(ValueError):
+        f ** -1
+    assert UniPoly((1, -2, 3))(Fraction(1, 2)) == Fraction(3, 4)
+    assert UniPoly(())(5) == 0
+
+
+def test_rational_function_negation_difference_and_text():
+    r = RationalFunction(ONE, ONE - T)
+    assert -r == RationalFunction(-ONE, ONE - T)
+    assert r - r == RationalFunction(UniPoly(()))
+    assert r - 1 == RationalFunction(T, ONE - T)
+    assert str(r) == "(1)/(-T+1)"
+    assert str(RationalFunction(UniPoly((1, 2)))) == "2*T+1"
+
+
+def test_series_coefficients_at_a_pole():
+    with pytest.raises(ZeroDenominator, match="pole"):
+        RationalFunction(ONE, T).series_coefficients(3)
