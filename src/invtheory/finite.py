@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
 
 from . import linalg
 from .errors import (
@@ -32,19 +31,6 @@ from .poly import (Polynomial, PolynomialRing, _accumulate, _from_dict, _ring_mi
 from .ratfunc import RationalFunction, UniPoly, rational_function_sum
 
 DEFAULT_CLOSURE_CAP = 50000
-
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
-
-
-def _row_key(rows) -> tuple[int, ...]:
-    """Sparse rows as plain ints (row lengths, columns, numerators, then
-    denominators; an F_p scalar is its own numerator), to tell group
-    elements apart in a set: hashing and comparing Fractions is slow."""
-    entries = list(chain.from_iterable(rows))
-    scalars = [c for _, c in entries]
-    return (*map(len, rows), *(k for k, _ in entries),
-            *map(_numerator, scalars), *map(_denominator, scalars))
-
 
 def _row_product(x, g, p: int | None):
     """x g on sparse rows (see `_Substitution`): row i is the sum over
@@ -110,29 +96,27 @@ class FiniteGroupAction:
 
     def group_closure(self) -> tuple:
         """All group elements, breadth-first from the identity; cached.  The
-        walk multiplies sparse rows, kept for `molien_series`; the public
-        elements are made dense once, at the end."""
+        walk multiplies sparse rows, kept for `molien_series`, with an
+        integral scalar over Q as an int (ints hash and multiply fast), and
+        tells elements apart by their rows; the public elements are made
+        dense once, at the end: each distinct row once, with one field scalar
+        per distinct value."""
         if self._closure is None:
             field = self.ring.field
             n = self.ring.n
-            generators = [sub.images for sub in self._generator_substitutions()]
-            identity = tuple(((i, field.one()),) for i in range(n))
-            seen = {_row_key(identity)}
-            ordered = [identity]
-            for g in generators:
-                key = _row_key(g)
-                if key not in seen:
-                    seen.add(key)
-                    ordered.append(g)
+            generators = [tuple(tuple((k, c.numerator if c.denominator == 1 else c) for k, c in row)
+                                for row in sub.images) for sub in self._generator_substitutions()]
+            identity = tuple(((i, 1),) for i in range(n))
+            ordered = list(dict.fromkeys([identity, *generators]))
+            seen = set(ordered)
             frontier = list(ordered)
             while frontier:
                 next_frontier = []
                 for x in frontier:
                     for g in generators:
                         y = _row_product(x, g, field.p)
-                        key = _row_key(y)
-                        if key not in seen:
-                            seen.add(key)
+                        if y not in seen:
+                            seen.add(y)
                             ordered.append(y)
                             next_frontier.append(y)
                             if len(ordered) > self.closure_cap:
@@ -141,9 +125,12 @@ class FiniteGroupAction:
                                 )
                 frontier = next_frontier
             self._sparse_closure = tuple(ordered)
-            zero = field.zero()
-            self._closure = tuple(tuple(tuple(dict(row).get(k, zero) for k in range(n))
-                                        for row in x) for x in ordered)
+            rows = set(chain.from_iterable(ordered))
+            scalars = {c: field.coerce(c) for c in {c for row in rows for _, c in row}}
+            zeros = dict.fromkeys(range(n), field.zero())
+            dense = {row: tuple({**zeros, **{k: scalars[c] for k, c in row}}.values())
+                     for row in rows}
+            self._closure = tuple(tuple(map(dense.__getitem__, x)) for x in ordered)
         return self._closure
 
     def order(self) -> int:
@@ -347,15 +334,16 @@ def molien_series(action: FiniteGroupAction) -> RationalFunction:
 
     det(1 - T g) = sum_k (-1)^k e_k T^k, where e_k are the elementary
     symmetric functions of g's eigenvalues.  Newton's identities
-    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i give them, exactly over Q,
-    from the power sums p_i = tr(g^i).  Elements are counted by their trace
-    tuple (p_1, ..., p_n), which holds the same information as the
-    determinant, and each distinct determinant is summed once, weighted by
-    how many elements share it."""
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i give them from the power
+    sums p_i = tr(g^i).  The eigenvalues are roots of unity, so p_i and e_k
+    are rational algebraic integers, that is ints, and k divides the sum
+    exactly.  Elements are counted by their trace tuple (p_1, ..., p_n),
+    which holds the same information as the determinant, and each distinct
+    determinant is summed once, weighted by its share of the group."""
     field = action.ring.field
     if not field.is_rationals:
         raise NonZeroCharacteristic("Molien series needs characteristic 0")
-    closure = action.group_closure()
+    order = action.order()
     n = action.ring.n
     counts: dict[tuple, int] = {}
     for g in action._sparse_closure:
@@ -368,13 +356,21 @@ def molien_series(action: FiniteGroupAction) -> RationalFunction:
         counts[key] = counts.get(key, 0) + 1
     terms = []
     for traces, count in counts.items():
-        e = [Fraction(1)]
+        e = [1]
         for k in range(1, n + 1):
-            total = sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1))
-            e.append(total / k)
+            e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
         det = UniPoly((-1) ** k * e_k for k, e_k in enumerate(e))
-        terms.append((UniPoly.constant(count), det))
-    return rational_function_sum(terms) * Fraction(1, len(closure))
+        terms.append((UniPoly.constant(Fraction(count, order)), det))
+    return rational_function_sum(terms)
+
+
+def _molien_numerator(action: FiniteGroupAction, degrees) -> UniPoly:
+    """M(T) prod (1 - T^d) over ``degrees``; the division must be exact."""
+    series = molien_series(action)
+    numerator = series.num
+    for d in degrees:
+        numerator = numerator * UniPoly.one_minus_t_power(d)
+    return numerator.exact_div(series.den)
 
 
 def _trace(rows):
@@ -449,7 +445,7 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Poly
     the lead ideal.  Generators come out monic, by degree then descending
     lead, with whether they are proven complete.
 
-    After a degree the sweep stops on either of two proofs.  King's stop:
+    After a degree the sweep stops on one of three proofs.  King's stop:
     no monomial of the next degree (at most the bound) is standard, so the
     Hilbert ideal is generated; with a Reynolds operator that proves the
     invariants are (`_proven`).  Kemper's certificate (Kemper 1996,
@@ -462,12 +458,27 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Poly
     free of rank prod deg f_i over the polynomial ring K[f], so
     [K(x):K(f)] = |G| = [K(x):K(x)^G] (the action is faithful), and
     K(f) = K(x)^G.  K[x]^G lies in that field and is integral over K[f],
-    which is integrally closed, so K[f] = K[x]^G."""
+    which is integrally closed, so K[f] = K[x]^G.
+
+    The Molien numerator, in characteristic 0, generalizes Kemper's case
+    N = 1.  Once n generators f are kept and the current leads hold a pure
+    power of every variable, f is an hsop (as above), and K[x]^G is free
+    over K[f] on secondary invariants eta_j (Hironaka decomposition;
+    Sturmfels, Algorithms in Invariant Theory, ch. 2) with
+    sum_j T^(deg eta_j) = N(T) = M(T) prod (1 - T^(deg f_i)); there are
+    N(1) = prod deg f_i / |G| of them, so |G| must divide the product, which
+    is checked first.  A degree-e invariant is sum_j eta_j q_j(f); when no
+    eta_j has degree e, every term is a product of invariants of lower
+    degree, which the generators kept below e generate, so every degree-e
+    candidate reduces to zero: the degree gets none.  Past deg N no degree
+    has a secondary, so the sweep stops there, certified."""
     ring = action.ring
     n = ring.n
+    p = ring.field.characteristic()
     standard_by_degree = [[(0,) * n]]
     order: list = []  # |G| once looked up, None when the closure is unavailable
     certified = False
+    numerator = None  # N(T), once the kept generators are an hsop
 
     def group_order():
         if not order:
@@ -483,34 +494,45 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Poly
                 _standard_monomials(engine, standard_by_degree[-1], ring.order.key))
         return standard_by_degree[d]
 
+    def pure_powers(engine) -> bool:
+        pure = set(engine.support)
+        return all(1 << v in pure for v in range(n))
+
+    def degree_candidates(engine, d: int):
+        if numerator is not None and not numerator.coefficient(d):
+            return ()
+        return candidates(engine, d, lambda: standard(engine, d))
+
     def complete(engine, d: int, kept) -> bool:
-        nonlocal certified
+        nonlocal certified, numerator
         product = 1
         for f in kept:
             product *= f.degree()
         if len(kept) == n and product == group_order():
             engine.process_to(sum(f.degree() for f in kept) - n + 1)
-            pure = set(engine.support)
-            certified = all(1 << v in pure for v in range(n))
+            certified = pure_powers(engine)
             if certified:
                 return True
+        if (numerator is None and not p and len(kept) == n and group_order()
+                and product % group_order() == 0 and pure_powers(engine)):
+            numerator = _molien_numerator(action, (f.degree() for f in kept))
+            if any(c < 0 or c.denominator != 1 for c in numerator.coeffs):
+                raise AssertionError(f"Molien numerator {numerator} over an hsop")
+        if numerator is not None and d >= numerator.degree():
+            certified = True
+            return True
         if d == bound:
             return False  # the sweep ends here; checking d + 1 costs S-pairs
         engine.process_to(d + 1)
         return not standard(engine, d + 1)
 
-    found, stopped = degree_sweep(
-        ring,
-        range(1, bound + 1),
-        lambda engine, d: candidates(engine, d, lambda: standard(engine, d)),
-        complete,
-    )
+    found, stopped = degree_sweep(ring, range(1, bound + 1), degree_candidates, complete)
 
     def sort_key(f: Polynomial):
         key = ring.order.key(f.lead_exponents())
         return (f.degree(), tuple(-v for v in key))
 
-    proven = certified or _proven(ring.field.characteristic(), group_order, bound, stopped)
+    proven = certified or _proven(p, group_order, bound, stopped)
     return sorted((f.monic() for f in found), key=sort_key), proven
 
 

@@ -1,7 +1,8 @@
 """Univariate polynomials over Q and reduced rational functions in one
 variable T.  Used for Molien series and Hilbert series arithmetic; everything
-is exact.  Coefficients are Fractions; division and the gcd clear their
-denominators once and run on integer coefficient lists.
+is exact.  Coefficients are Fractions; division, the gcd and
+`rational_function_sum` clear their denominators once and run on integer
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -130,9 +131,7 @@ class UniPoly:
             a, b = b, a
         if not a:
             return UniPoly.zero()
-        a, b = _primitive(integral(a)[0]), _primitive(integral(b)[0])
-        while b:
-            a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+        a = _integer_gcd(_primitive(integral(a)[0]), _primitive(integral(b)[0]))
         return UniPoly(Fraction(c, a[-1]) for c in a)
 
     def __pow__(self, k: int) -> "UniPoly":
@@ -195,6 +194,24 @@ def _primitive(coeffs: list[int]) -> list[int]:
     """The integer coefficients over their content: a positive lead."""
     g = _content(coeffs)
     return coeffs if g in (0, 1) else [c // g for c in coeffs]
+
+
+def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of primitive integer lists, a nonzero, with a
+    positive lead."""
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+    return a
+
+
+def _integer_product(a: list[int], b: list[int]) -> list[int]:
+    """The product of nonzero integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
@@ -313,14 +330,37 @@ def _as_ratfunc(value) -> RationalFunction:
 
 def rational_function_sum(terms) -> RationalFunction:
     """Exact sum of an iterable of (numerator, denominator) pairs or
-    RationalFunction values, taken over the lcm of the reduced denominators
-    and reduced once."""
-    numerators: dict[UniPoly, UniPoly] = {}
+    RationalFunction values, on integer coefficient lists.  Each distinct
+    polynomial is cleared once to a rational scale times a primitive list,
+    the lcm of the denominators is taken with the integer gcd, each
+    cofactor comes from an exact integer division (s = 1 in
+    `_pseudo_divmod`, by Gauss's lemma), and `Fraction`s are built once, for
+    the sum, which is reduced once."""
+    cleared: dict[UniPoly, tuple[tuple[int, ...], Fraction]] = {}
+    parts = []  # (primitive denominator, scale, primitive numerator)
     for term in terms:
-        term = RationalFunction(term[0], term[1]) if isinstance(term, tuple) else _as_ratfunc(term)
-        numerators[term.den] = numerators.get(term.den, UniPoly.zero()) + term.num
-    common = UniPoly.one()
-    for den in numerators:
-        common = common * den.exact_div(common.gcd(den))
-    total = sum((num * common.exact_div(den) for den, num in numerators.items()), UniPoly.zero())
-    return RationalFunction(total, common)
+        if not isinstance(term, tuple):
+            term = _as_ratfunc(term)
+            term = term.num, term.den
+        num, den = map(_as_unipoly, term)
+        if den.is_zero():
+            raise ZeroDenominator("rational function with denominator 0")
+        if num.is_zero():
+            continue
+        for poly in (num, den):
+            if poly not in cleared:
+                ints, den_lcm = integral(poly.coeffs)
+                g = _content(ints)
+                cleared[poly] = tuple(c // g for c in ints), Fraction(g, den_lcm)
+        (num, a), (den, b) = cleared[num], cleared[den]
+        parts.append((den, a / b, num))
+    common = [1]
+    for den in dict.fromkeys(den for den, _, _ in parts):
+        common = _integer_product(common, _pseudo_divmod(den, _integer_gcd(common, den))[1])
+    scale = math.lcm(*(s.denominator for _, s, _ in parts))
+    total = [0] * max((len(num) + len(common) - len(den) for den, _, num in parts), default=0)
+    for den, s, num in parts:
+        factor = s.numerator * (scale // s.denominator)
+        for i, c in enumerate(_integer_product(num, _pseudo_divmod(common, den)[1])):
+            total[i] += factor * c
+    return RationalFunction(UniPoly(Fraction(c, scale) for c in total), UniPoly(common))

@@ -18,8 +18,8 @@ from .finite import (
     FiniteGroupAction,
     _king_sweep,
     _linear_sweep,
+    _molien_numerator,
     invariant_space_basis,
-    molien_series,
 )
 from .groebner import elimination_ideal
 from .linalg import rank
@@ -182,16 +182,7 @@ def hilbert_series_rewrite(source, degrees) -> UniPoly:
         raise TypeError("hilbert series rewriting requires a finite group action")
     if not action.ring.field.is_rationals:
         raise NonZeroCharacteristic("Molien series needs characteristic zero")
-    series = molien_series(action)
-    numerator = series.num
-    for d in degrees:
-        if isinstance(d, bool) or int(d) != d:
-            raise ValueError(f"degrees must be integers, got {d!r}")
-        d = int(d)
-        if d < 1:
-            raise ValueError("degrees must be positive")
-        numerator = numerator * UniPoly.one_minus_t_power(d)
-    return numerator.exact_div(series.den)
+    return _molien_numerator(action, _integers(degrees, "degrees", least=1))
 
 
 def _expected_dimension(inv: RingOfInvariants, degree: int) -> int:

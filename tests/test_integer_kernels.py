@@ -30,7 +30,6 @@ from invtheory.finite import (
     _Substitution,
     _dense_invariant_space_basis,
     _dense_reynolds,
-    _row_key,
     _row_product,
     _trace,
     act_on,
@@ -78,12 +77,15 @@ def test_scaled_groups_have_the_expected_orders():
     assert [action.order() for action in SCALED] == [2, 2, 24]
 
 
-def test_row_keys_tell_row_lengths_apart():
-    # the same columns and scalars, cut into rows differently
-    one = Fraction(1)
-    a = (((0, one),), ((1, one), (2, one)), ((0, one),))
-    b = (((0, one), (1, one)), ((2, one),), ((0, one),))
-    assert _row_key(a) != _row_key(b)
+def test_rows_cut_differently_are_different_elements():
+    # a and its power b list the same (column, scalar) pairs row by row,
+    # cut into rows of 2, 1 and 2 entries and of 3, 1 and 1
+    a = ((1, 2, 0), (0, 0, 2), (0, 2, 2))
+    b = ((1, 2, 2), (0, 2, 0), (0, 0, 2))
+    action = FiniteGroupAction(polynomial_ring(prime_field(3), ("x", "y", "z")), [a])
+    closure = action.group_closure()
+    assert len(closure) == 8 and a in closure and b in closure
+    assert list(closure) == reference_closure(action)
 
 
 @pytest.mark.parametrize("index", range(len(GROUPS)))

@@ -142,6 +142,16 @@ def test_hilbert_series_rewrite_rejects_non_integral_degrees():
     assert hilbert_series_rewrite(inv, [1.0, 2, 3, 4]) == UniPoly((1, 0, 0, 0, 0, 0, 1))
 
 
+def test_hilbert_series_rewrite_names_the_bad_degree():
+    # the integer-input rule of the diagonal inputs and max_degree
+    with pytest.raises(ValueError, match=r"^degrees must be integral, got 2\.5$"):
+        hilbert_series_rewrite(A4, [1, 2.5, 3, 4])
+    with pytest.raises(ValueError, match=r"^degrees must be integral, got True$"):
+        hilbert_series_rewrite(A4, [True, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"^degrees must be at least 1$"):
+        hilbert_series_rewrite(A4, [1, 2, 3, 0])
+
+
 def test_verify_generators_a4_all_pass():
     checks = verify_generators(invariant_ring(A4), 6)
     assert [c.degree for c in checks] == [1, 2, 3, 4, 5, 6]
