@@ -12,6 +12,7 @@ matrices, Reynolds images and fixed spaces are orbit sums (`_Orbit`).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain
 
@@ -91,6 +92,7 @@ class FiniteGroupAction:
         # Built on first use, like the closure.
         self._generator_subs: tuple[_Substitution, ...] | None = None
         self._closure_subs: tuple[_Substitution, ...] | None = None
+        self._molien: RationalFunction | None = None
 
     # -- the group ------------------------------------------------------------
 
@@ -339,10 +341,13 @@ def molien_series(action: FiniteGroupAction) -> RationalFunction:
     are rational algebraic integers, that is ints, and k divides the sum
     exactly.  Elements are counted by their trace tuple (p_1, ..., p_n),
     which holds the same information as the determinant, and each distinct
-    determinant is summed once, weighted by its share of the group."""
+    determinant is summed once, weighted by its share of the group.  Cached
+    on the action."""
     field = action.ring.field
     if not field.is_rationals:
         raise NonZeroCharacteristic("Molien series needs characteristic 0")
+    if action._molien is not None:
+        return action._molien
     order = action.order()
     n = action.ring.n
     counts: dict[tuple, int] = {}
@@ -361,7 +366,8 @@ def molien_series(action: FiniteGroupAction) -> RationalFunction:
             e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
         det = UniPoly((-1) ** k * e_k for k, e_k in enumerate(e))
         terms.append((UniPoly.constant(Fraction(count, order)), det))
-    return rational_function_sum(terms)
+    action._molien = rational_function_sum(terms)
+    return action._molien
 
 
 def _molien_numerator(action: FiniteGroupAction, degrees) -> UniPoly:
@@ -445,39 +451,37 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Poly
     the lead ideal.  Generators come out monic, by degree then descending
     lead, with whether they are proven complete.
 
-    After a degree the sweep stops on one of three proofs.  King's stop:
-    no monomial of the next degree (at most the bound) is standard, so the
+    After a degree the sweep stops on one of two proofs.  King's stop: no
+    monomial of the next degree (at most the bound) is standard, so the
     Hilbert ideal is generated; with a Reynolds operator that proves the
-    invariants are (`_proven`).  Kemper's certificate (Kemper 1996,
-    Prop. 16; Derksen-Kemper section 3.7), sound in every characteristic:
-    the kept f_1..f_n are n invariants with deg f_1 ... deg f_n = |G|, and
-    every variable has a pure power among the leads (these lie in the
-    ideal, so K[x]/(f) is finite and f is a homogeneous system of
-    parameters; if it is one, every monomial of degree sum(deg f_i - 1) + 1
-    lies in (f), which is where the pairs are handled to).  Then K[x] is
-    free of rank prod deg f_i over the polynomial ring K[f], so
-    [K(x):K(f)] = |G| = [K(x):K(x)^G] (the action is faithful), and
-    K(f) = K(x)^G.  K[x]^G lies in that field and is integral over K[f],
-    which is integrally closed, so K[f] = K[x]^G.
+    invariants are (`_proven`).  Or the degree reaches deg N, where N(T) is
+    the numerator below, set once n generators f are kept and the current
+    leads hold a pure power of every variable (these lie in the ideal, so
+    K[x]/(f) is finite and f is a homogeneous system of parameters).
 
-    The Molien numerator, in characteristic 0, generalizes Kemper's case
-    N = 1.  Once n generators f are kept and the current leads hold a pure
-    power of every variable, f is an hsop (as above), and K[x]^G is free
-    over K[f] on secondary invariants eta_j (Hironaka decomposition;
-    Sturmfels, Algorithms in Invariant Theory, ch. 2) with
-    sum_j T^(deg eta_j) = N(T) = M(T) prod (1 - T^(deg f_i)); there are
-    N(1) = prod deg f_i / |G| of them, so |G| must divide the product, which
-    is checked first.  A degree-e invariant is sum_j eta_j q_j(f); when no
-    eta_j has degree e, every term is a product of invariants of lower
-    degree, which the generators kept below e generate, so every degree-e
-    candidate reduces to zero: the degree gets none.  Past deg N no degree
-    has a secondary, so the sweep stops there, certified."""
+    Kemper's certificate (Kemper 1996, Prop. 16; Derksen-Kemper section
+    3.7) is the case N = 1, sound in every characteristic: deg f_1 ...
+    deg f_n = |G|, and the pairs are handled to degree sum(deg f_i - 1) + 1,
+    where every monomial lies in (f) if f is an hsop.  Then K[x] is free of
+    rank prod deg f_i over the polynomial ring K[f], so [K(x):K(f)] = |G| =
+    [K(x):K(x)^G] (the action is faithful), and K(f) = K(x)^G.  K[x]^G lies
+    in that field and is integral over K[f], which is integrally closed, so
+    K[f] = K[x]^G.
+
+    In characteristic 0, K[x]^G is free over the hsop K[f] on secondary
+    invariants eta_j (Hironaka decomposition; Sturmfels, Algorithms in
+    Invariant Theory, ch. 2) with sum_j T^(deg eta_j) = N(T) = M(T) prod
+    (1 - T^(deg f_i)); there are N(1) = prod deg f_i / |G| of them, so |G|
+    must divide the product, which is checked first.  A degree-e invariant
+    is sum_j eta_j q_j(f); when no eta_j has degree e, every term is a
+    product of invariants of lower degree, which the generators kept below e
+    generate, so every degree-e candidate reduces to zero: the degree gets
+    none, and no degree past deg N has a secondary."""
     ring = action.ring
     n = ring.n
     p = ring.field.characteristic()
     standard_by_degree = [[(0,) * n]]
     order: list = []  # |G| once looked up, None when the closure is unavailable
-    certified = False
     numerator = None  # N(T), once the kept generators are an hsop
 
     def group_order():
@@ -504,22 +508,18 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Poly
         return candidates(engine, d, lambda: standard(engine, d))
 
     def complete(engine, d: int, kept) -> bool:
-        nonlocal certified, numerator
-        product = 1
-        for f in kept:
-            product *= f.degree()
-        if len(kept) == n and product == group_order():
-            engine.process_to(sum(f.degree() for f in kept) - n + 1)
-            certified = pure_powers(engine)
-            if certified:
-                return True
-        if (numerator is None and not p and len(kept) == n and group_order()
-                and product % group_order() == 0 and pure_powers(engine)):
-            numerator = _molien_numerator(action, (f.degree() for f in kept))
-            if any(c < 0 or c.denominator != 1 for c in numerator.coeffs):
-                raise AssertionError(f"Molien numerator {numerator} over an hsop")
+        nonlocal numerator
+        if numerator is None and len(kept) == n and group_order():
+            degrees = [f.degree() for f in kept]
+            product = math.prod(degrees)
+            kemper = product == group_order()
+            if kemper:
+                engine.process_to(sum(degrees) - n + 1)
+            if (kemper or not p and product % group_order() == 0) and pure_powers(engine):
+                numerator = UniPoly.one() if kemper else _molien_numerator(action, degrees)
+                if any(c < 0 or c.denominator != 1 for c in numerator.coeffs):
+                    raise AssertionError(f"Molien numerator {numerator} over an hsop")
         if numerator is not None and d >= numerator.degree():
-            certified = True
             return True
         if d == bound:
             return False  # the sweep ends here; checking d + 1 costs S-pairs
@@ -532,7 +532,7 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Poly
         key = ring.order.key(f.lead_exponents())
         return (f.degree(), tuple(-v for v in key))
 
-    proven = certified or _proven(p, group_order, bound, stopped)
+    proven = stopped and numerator is not None or _proven(p, group_order, bound, stopped)
     return sorted((f.monic() for f in found), key=sort_key), proven
 
 

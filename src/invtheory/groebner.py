@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InhomogeneousTruncation, OrderMismatch
-from .fields import integral
+from .fields import _integers, integral
 from .poly import (Polynomial, PolynomialRing, Staircase, _from_dict, _ring_mismatch,
                    support_mask)
 from .orders import TermOrder
@@ -143,16 +143,13 @@ def reducer(ring: PolynomialRing, divisors):
 
 
 def _check_weights(weights, n: int) -> tuple[int, ...]:
-    """The weights as a tuple of n ints >= 1, all ones when absent; raises
-    ValueError on any other weights."""
+    """The weights as a tuple of n ints >= 1 (`fields._integers`), all ones
+    when absent; raises ValueError on any other weights."""
     if weights is None:
         return (1,) * n
-    weights = tuple(weights)
+    weights = _integers(weights, "weights", least=1)
     if len(weights) != n:
         raise ValueError(f"{len(weights)} weights for {n} variables")
-    for w in weights:
-        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
-            raise ValueError(f"weights must be integers >= 1, got {w!r}")
     return weights
 
 
@@ -272,11 +269,6 @@ class _IncrementalGroebner:
             if inv != 1:
                 work = {e: v * inv % self.p for e, v in work.items()}
         return work
-
-    def to_polynomial(self, work: dict) -> Polynomial:
-        coerce = self.ring.field.coerce
-        poly = _from_dict(self.ring, {e: coerce(v) for e, v in work.items()})
-        return poly.monic() if not poly.is_zero() else poly
 
     # -- reduction -----------------------------------------------------------
 
@@ -469,29 +461,27 @@ class _IncrementalGroebner:
         """Monic inter-reduced basis, sorted ascending by lead term; with
         ``block`` k, only its elements free of the first k variables.
 
-        Under an order eliminating those k variables, an element whose lead
-        is free of them lies wholly in the subring, and a lead dividing a
-        subring monomial is such a lead too; so leaving the other elements
-        out changes neither which of these are minimal nor their tails."""
+        An element is kept when no other lead divides its lead, and its tail
+        is reduced by the engine's own basis: that basis is a Groebner basis
+        up to the processed degree, so the remainder is the tail's unique
+        normal form whichever elements act.  Under an order eliminating the
+        first k variables, only leads free of them divide a term free of
+        them, so the block's elements never act on a kept tail."""
         order = sorted((i for i, (lead, _) in enumerate(self.leads) if not any(lead[:block])),
                        key=self._lead_h.__getitem__)
-        # Each tail is reduced by all kept elements, its own included: a lead
-        # never divides a smaller term.
-        divisors = _IncrementalGroebner(self.ring)
-        kept = []
-        for idx in order:
-            lead, coeff = self.leads[idx]
-            if not divisors.lead_divides(lead):
-                tail = {self._unpack(h): c for h, c in self.elements[idx].items()}
-                divisors._load(divisors._pack_terms({lead: coeff, **tail}))
-                kept.append((lead, coeff, tail))
+        field = self.ring.field
         final = []
-        for lead, coeff, tail in kept:
-            reduced = divisors.reduce(divisors._pack_terms(tail))
-            up, down = divisors.last_scale
-            work = {divisors._unpack(h): v * down for h, v in reduced.items()}
-            work[lead] = coeff * up
-            final.append(self.to_polynomial(work))
+        for idx in order:
+            # `reduce` may widen the fields, which repacks the leads and bits
+            if self._stairs.divisors(self._lead_h[idx]) != self._bit(idx):
+                continue
+            lead, coeff = self.leads[idx]
+            reduced = self.reduce(self.elements[idx])
+            up, down = self.last_scale
+            work = {self._unpack(h): field.from_pair(v * down, coeff * up)
+                    for h, v in reduced.items()}
+            work[lead] = field.one()
+            final.append(_from_dict(self.ring, work))
         return final
 
 

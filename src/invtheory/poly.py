@@ -11,7 +11,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import RingMismatch
 from .fields import Field, QQ, integral
@@ -127,27 +126,20 @@ class PolynomialRing:
     # -- monomial enumeration --------------------------------------------------
 
     def monomial_basis(self, degree: int) -> list[Monomial]:
-        """All monomials of the given total degree, leading-first."""
+        """All monomials of the given total degree, leading-first.
+        `_compositions` lists their exponents in descending lex order;
+        reversed, with each tuple reversed, they run in descending grevlex."""
         if degree < 0:
             return []
-        return list(_monomial_basis(self.n, self.order, degree))
+        exps = _compositions(degree, self.n)
+        if self.order.kind == "grevlex":
+            exps = [e[::-1] for e in reversed(exps)]
+        else:
+            exps.sort(key=self.order.key, reverse=True)
+        return list(map(Monomial, exps))
 
     def __str__(self) -> str:
         return f"{self.field}[{', '.join(self.names)}]"
-
-
-# Callers walk one degree at a time.
-@lru_cache(maxsize=1)
-def _monomial_basis(n: int, order: TermOrder, degree: int) -> tuple[Monomial, ...]:
-    """The degree-d monomials leading-first.  `_compositions` lists their
-    exponents in descending lex order; reversed, with each tuple reversed,
-    they run in descending grevlex."""
-    exps = _compositions(degree, n)
-    if order.kind == "grevlex":
-        exps = [e[::-1] for e in reversed(exps)]
-    else:
-        exps.sort(key=order.key, reverse=True)
-    return tuple(map(Monomial, exps))
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

@@ -189,3 +189,16 @@ def test_a_king_run_reaches_the_traced_closure_and_molien_series(monkeypatch):
     assert invariant_ring(alternating(4)).complete
     assert calls["group_closure"] >= 1
     assert calls["molien_series"] == 1
+
+
+def test_the_rewrite_reuses_the_series_the_sweep_computed(monkeypatch):
+    calls = []
+
+    def counting(terms):
+        calls.append(1)
+        return rational_function_sum(terms)
+
+    monkeypatch.setattr(finite, "rational_function_sum", counting)
+    numerator = hilbert_series_rewrite(invariant_ring(alternating(4)), [1, 2, 3, 4])
+    assert numerator == UniPoly((1, 0, 0, 0, 0, 0, 1))
+    assert len(calls) == 1
