@@ -27,8 +27,8 @@ from .errors import (
 )
 from .fields import _integers
 from .groebner import degree_sweep
-from .poly import (Polynomial, PolynomialRing, _accumulate, _from_dict, _ring_mismatch,
-                   substitute)
+from .poly import (Polynomial, PolynomialRing, _accumulate, _from_dict, _generator_key,
+                   _ring_mismatch, substitute)
 from .ratfunc import RationalFunction, UniPoly, rational_function_sum
 
 DEFAULT_CLOSURE_CAP = 50000
@@ -528,12 +528,8 @@ def _sweep(action: FiniteGroupAction, bound: int, candidates) -> tuple[list[Poly
 
     found, stopped = degree_sweep(ring, range(1, bound + 1), degree_candidates, complete)
 
-    def sort_key(f: Polynomial):
-        key = ring.order.key(f.lead_exponents())
-        return (f.degree(), tuple(-v for v in key))
-
     proven = stopped and numerator is not None or _proven(p, group_order, bound, stopped)
-    return sorted((f.monic() for f in found), key=sort_key), proven
+    return sorted((f.monic() for f in found), key=_generator_key), proven
 
 
 def _proven(p: int, group_order, bound: int, stopped: bool) -> bool:

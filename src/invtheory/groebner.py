@@ -580,6 +580,9 @@ def elimination_ideal(polys, eliminate, weights=None) -> list[Polynomial]:
         return []
     ring = polys[0].ring
     weights = _check_weights(weights, ring.n)
+    for f in polys[1:]:
+        if f.ring != ring:
+            raise _ring_mismatch(f.ring, ring)
     eliminate = set(eliminate)
     unknown = eliminate - set(ring.names)
     if unknown:

@@ -233,6 +233,21 @@ def _packed_product(a, b) -> dict[int, int]:
     return acc
 
 
+def _power(base, k: int, one):
+    """base^k by repeated squaring, from ``one``; no square is taken past
+    the last bit of k."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 def _ring_mismatch(a: PolynomialRing, b: PolynomialRing) -> RingMismatch:
     """The error for two rings that differ, naming their term orders when
     only those do."""
@@ -391,18 +406,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, power: int):
-        if power < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base_needed = power > 1
-            power >>= 1
-            if base_needed and power:
-                base = base * base
-        return result
+        return _power(self, power, self.ring.one())
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -429,6 +433,12 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.ring}>"
+
+
+def _generator_key(f: Polynomial) -> tuple:
+    """The canonical order of generator lists: by degree, then leading-first
+    by lead under the term order."""
+    return f.degree(), tuple(-v for v in f.ring.order.key(f.lead_exponents()))
 
 
 def substitute(f: Polynomial, images: list[Polynomial]) -> Polynomial:
@@ -475,29 +485,25 @@ def _format_power(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
-def format_polynomial(f: Polynomial) -> str:
-    """Canonical text form; `parse` returns the same polynomial back."""
-    if not f.terms:
-        return "0"
-    names = f.ring.names
-    pieces: list[str] = []
-    for exp, coeff in f.terms:
-        powers = "*".join(
-            _format_power(names[i], e) for i, e in enumerate(exp) if e
-        )
+def _signed_sum(terms) -> str:
+    """The sum of (coefficient, power product) pairs in the order given, a
+    unit coefficient dropped before a power product; "0" for no terms."""
+    pieces = []
+    for coeff, powers in terms:
         text = str(coeff)
         negative = text.startswith("-")
-        if negative:
-            text = text[1:]
-        if powers:
-            body = powers if text == "1" else f"{text}*{powers}"
-        else:
-            body = text
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"-{body}" if negative else f"+{body}")
-    return "".join(pieces)
+        text = text.lstrip("-")
+        body = text if not powers else powers if text == "1" else f"{text}*{powers}"
+        pieces.append("-" + body if negative else "+" + body if pieces else body)
+    return "".join(pieces) or "0"
+
+
+def format_polynomial(f: Polynomial) -> str:
+    """Canonical text form; `parse` returns the same polynomial back."""
+    names = f.ring.names
+    return _signed_sum(
+        (coeff, "*".join(_format_power(names[i], e) for i, e in enumerate(exp) if e))
+        for exp, coeff in f.terms)
 
 
 def polynomial_ring(

@@ -1,8 +1,8 @@
 """Univariate polynomials over Q and reduced rational functions in one
 variable T.  Used for Molien series and Hilbert series arithmetic; everything
-is exact.  Coefficients are Fractions; division, the gcd and
-`rational_function_sum` clear their denominators once and run on integer
-coefficient lists.
+is exact.  Coefficients are Fractions; products, division, the gcd and
+`rational_function_sum` (which every sum of rational functions goes through)
+clear their denominators once and run on integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import InexactDivision, ZeroDenominator
 from .fields import integral
+from .poly import _format_power, _power, _signed_sum
 
 
 class UniPoly:
@@ -41,14 +42,15 @@ class UniPoly:
 
     @staticmethod
     def t_power(k: int) -> "UniPoly":
+        """T^k, k >= 0."""
+        if k < 0:
+            raise ValueError("negative power")
         return UniPoly((0,) * k + (1,))
 
     @staticmethod
     def one_minus_t_power(k: int) -> "UniPoly":
-        """1 - T^k."""
-        if k == 0:
-            return UniPoly.zero()
-        return UniPoly((1,) + (0,) * (k - 1) + (-1,))
+        """1 - T^k, k >= 0."""
+        return UniPoly.one() - UniPoly.t_power(k)
 
     # -- inspection ---------------------------------------------------------
 
@@ -88,16 +90,8 @@ class UniPoly:
         return _as_unipoly(other) - self
 
     def __mul__(self, other) -> "UniPoly":
-        other = _as_unipoly(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        (a, den_a), (b, den_b) = integral(self.coeffs), integral(_as_unipoly(other).coeffs)
+        return UniPoly(Fraction(c, den_a * den_b) for c in _integer_product(a, b))
 
     __rmul__ = __mul__
 
@@ -135,17 +129,7 @@ class UniPoly:
         return UniPoly(Fraction(c, a[-1]) for c in a)
 
     def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = UniPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, UniPoly.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
@@ -158,27 +142,8 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            text = str(c)
-            negative = text.startswith("-")
-            if negative:
-                text = text[1:]
-            if k == 0:
-                body = text
-            else:
-                power = "T" if k == 1 else f"T^{k}"
-                body = power if text == "1" else f"{text}*{power}"
-            if not pieces:
-                pieces.append(f"-{body}" if negative else body)
-            else:
-                pieces.append(f"-{body}" if negative else f"+{body}")
-        return "".join(pieces)
+        return _signed_sum((self.coeffs[k], _format_power("T", k) if k else "")
+                           for k in range(self.degree(), -1, -1) if self.coeffs[k])
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -205,7 +170,7 @@ def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _integer_product(a: list[int], b: list[int]) -> list[int]:
-    """The product of nonzero integer coefficient lists."""
+    """The product of integer coefficient lists; zero is the empty list."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -273,10 +238,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def __add__(self, other) -> "RationalFunction":
-        other = _as_ratfunc(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return rational_function_sum((self, _as_ratfunc(other)))
 
     __radd__ = __add__
 

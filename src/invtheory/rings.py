@@ -12,7 +12,6 @@ from .diagonal import (
     diagonal_invariants_literal,
     is_invariant_exponent,
 )
-from .errors import NonZeroCharacteristic
 from .fields import _integers
 from .finite import (
     FiniteGroupAction,
@@ -26,6 +25,7 @@ from .linalg import rank
 from .poly import (
     Polynomial,
     PolynomialRing,
+    _generator_key,
     _packed_integral,
     _packed_product,
     _packing,
@@ -71,12 +71,7 @@ class RingOfInvariants:
         self.method = method
         self.literal_q = literal_q
         self.complete = complete
-        ring = self.ring
-        key = lambda f: (
-            f.degree(),
-            tuple(-v for v in ring.order.key(f.lead_exponents())),
-        )
-        self.generators = tuple(sorted(generators, key=key))
+        self.generators = tuple(sorted(generators, key=_generator_key))
         self._defining: list[Polynomial] | None = None
 
     @property
@@ -180,8 +175,6 @@ def hilbert_series_rewrite(source, degrees) -> UniPoly:
     action = source.action if isinstance(source, RingOfInvariants) else source
     if not isinstance(action, FiniteGroupAction):
         raise TypeError("hilbert series rewriting requires a finite group action")
-    if not action.ring.field.is_rationals:
-        raise NonZeroCharacteristic("Molien series needs characteristic zero")
     return _molien_numerator(action, _integers(degrees, "degrees", least=1))
 
 

@@ -298,3 +298,14 @@ def test_text_output_ends_with_elapsed(tmp_path, capsys):
                  ["molien", write(tmp_path, TRIVIAL_DOC)]):
         _, out, _ = run(capsys, argv)
         assert out.splitlines()[-1].startswith("elapsed: ")
+
+
+def test_hilbert_series_over_a_prime_field_exits_two(tmp_path, capsys):
+    modular = {
+        "field": {"type": "Fp", "p": 5},
+        "variables": ["x", "y"],
+        "action": {"kind": "finite", "generators": ["21"]},
+    }
+    code, _, err = run(capsys, ["hilbert-series", write(tmp_path, modular), "--degrees", "1,2"])
+    assert code == 2
+    assert "NonZeroCharacteristic" in err

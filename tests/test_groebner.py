@@ -572,3 +572,16 @@ def test_ring_mismatch_in_order_only_names_the_orders():
     with pytest.raises(RingMismatch) as info:
         buchberger([grevlex.parse("x"), polynomial_ring(prime_field(5), ("x",)).parse("x")])
     assert str(info.value) == "GF(5)[x] vs QQ[x, y, z]"
+
+
+def test_elimination_rejects_polynomials_of_other_rings():
+    # read in the first ring, a*b - c would be y*z - x and give [y^3 - z]
+    xyz = polynomial_ring(QQ, ("x", "y", "z"))
+    abc = polynomial_ring(QQ, ("a", "b", "c"))
+    xy = polynomial_ring(QQ, ("x", "y"))
+    for polys in ([xyz.parse("x - y^2"), abc.parse("a*b - c")],
+                  [xy.parse("x - y^2"), xyz.parse("x*y - z")]):
+        with pytest.raises(RingMismatch):
+            buchberger(polys)
+        with pytest.raises(RingMismatch):
+            elimination_ideal(polys, ["x"])

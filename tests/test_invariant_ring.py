@@ -8,6 +8,7 @@ from invtheory import (
     FiniteGroupAction,
     InexactDivision,
     LinearlyReductiveAction,
+    NonZeroCharacteristic,
     QQ,
     RingOfInvariants,
     UniPoly,
@@ -19,6 +20,7 @@ from invtheory import (
     invariants_linear_algebra,
     permutation_matrix,
     polynomial_ring,
+    prime_field,
     substitute,
     verify_generators,
 )
@@ -261,3 +263,12 @@ def test_hilbert_series_rewrite_takes_the_action_itself():
         hilbert_series_rewrite(TORUS, [1])
     with pytest.raises(TypeError):
         hilbert_series_rewrite(SL2, [1])
+
+
+def test_hilbert_series_rewrite_needs_characteristic_zero():
+    gf5 = polynomial_ring(prime_field(5), ("x", "y"))
+    action = FiniteGroupAction(gf5, [[[0, 1], [1, 0]]])
+    with pytest.raises(NonZeroCharacteristic, match="characteristic 0"):
+        hilbert_series_rewrite(action, [1, 2])
+    with pytest.raises(ValueError):  # the degrees are checked first
+        hilbert_series_rewrite(action, [0])

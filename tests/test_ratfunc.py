@@ -229,3 +229,13 @@ def test_rational_function_negation_difference_and_text():
 def test_series_coefficients_at_a_pole():
     with pytest.raises(ZeroDenominator, match="pole"):
         RationalFunction(ONE, T).series_coefficients(3)
+
+
+def test_t_powers_reject_negative_exponents():
+    assert UniPoly.t_power(0) == ONE
+    assert UniPoly.one_minus_t_power(0).is_zero()
+    for k in (-1, -3):
+        with pytest.raises(ValueError):
+            UniPoly.t_power(k)
+        with pytest.raises(ValueError):
+            UniPoly.one_minus_t_power(k)
